@@ -23,13 +23,14 @@ vet-cluster:
 	$(GO) test -race -count=2 ./internal/cluster/...
 
 # Race-detector pass over the sharded execution engine and its consumers
-# (the LOCAL runtime, distributed Moser-Tardos, the distributed fixers), the
+# (the LOCAL runtime, distributed Moser-Tardos, the distributed fixers, the
+# colouring machines, which reuse their message buffers across rounds), the
 # observability layer they report into (including the SLO burn-rate engine),
 # the fault-injection/recovery layer, the packed batch runners, the
 # multi-tenant fair scheduler, the job service on top, and the cluster tier
 # (ring, membership, router).
 test-race:
-	$(GO) test -race ./internal/local/... ./internal/mt/... ./internal/core/... ./internal/engine/... ./internal/obs/... ./internal/slo/... ./internal/fault/... ./internal/batch/... ./internal/tenant/... ./internal/service/... ./internal/kernel/... ./internal/cluster/...
+	$(GO) test -race ./internal/local/... ./internal/mt/... ./internal/core/... ./internal/coloring/... ./internal/engine/... ./internal/obs/... ./internal/slo/... ./internal/fault/... ./internal/batch/... ./internal/tenant/... ./internal/service/... ./internal/kernel/... ./internal/cluster/...
 
 # One benchmark per paper figure/table plus solver micro-benches.
 bench:

@@ -19,84 +19,80 @@ import (
 // d2ColorMsg is the A-round payload: the sender's current colour.
 type d2ColorMsg int
 
-// d2MapMsg is the B-round payload: the sender's own (id, colour) plus the
-// colours it heard from its neighbours in the A round.
-type d2MapMsg map[uint64]int
+// d2Pair is one (node ID, colour) entry of a B-round payload.
+type d2Pair struct {
+	id    uint64
+	color int
+}
+
+// d2PairsMsg is the B-round payload: the sender's own (ID, colour) followed
+// by the colours it heard from its neighbours in the A round.
+type d2PairsMsg struct{ pairs []d2Pair }
 
 // d2Machine runs Linial colour reduction + Kuhn-Wattenhofer halving against
 // the colours of all nodes within distance 2.
 type d2Machine struct {
 	info     local.NodeInfo
 	schedule []Step
-	kwSched  []int
-	finalK   int
 	target   int
+	rounds   int // the final round
 	color    int
-	// heard accumulates the latest known colours of nodes within distance
-	// two (excluding self), refreshed every A round.
-	heard map[uint64]int
-	err   error
+	// heard holds the colours of the nodes within distance two (excluding
+	// self), rebuilt every A round. A node reached on several paths appears
+	// several times; Reduce and kwStep read the colours only as a set.
+	heard []int
+	// out is the B-round payload. Neighbours read it in the following A
+	// round and the next rewrite is a B round later, so one buffer serves
+	// every B round. send is the per-port slice, reused every round.
+	out  d2PairsMsg
+	send []local.Message
+	err  error
 }
 
+// newD2Machine returns a machine of the distance-2 colouring. Logical
+// steps are len(schedule) Linial reductions plus the Kuhn-Wattenhofer
+// reduction rounds; step t is applied in (odd) real round 2t+3, and the
+// final round is 2·steps+1.
 func newD2Machine(k0, deltaSq, target int) *d2Machine {
-	finalK := FinalPalette(k0, deltaSq)
-	return &d2Machine{
-		schedule: Schedule(k0, deltaSq),
-		kwSched:  kwSchedule(finalK, target),
-		finalK:   finalK,
-		target:   target,
-	}
+	schedule := Schedule(k0, deltaSq)
+	steps := len(schedule) + kwRounds(FinalPalette(k0, deltaSq), target)
+	return &d2Machine{schedule: schedule, target: target, rounds: 2*steps + 1}
 }
 
 func (m *d2Machine) Init(info local.NodeInfo) {
 	m.info = info
 	m.color = int(info.ID)
-	m.heard = make(map[uint64]int)
+	m.send = make([]local.Message, info.Degree())
 }
-
-// Logical steps: len(schedule) Linial reductions plus the Kuhn-Wattenhofer
-// reduction rounds. Step t is applied in (odd) real round 2t+3; the final
-// round is 2·steps+1.
-func (m *d2Machine) logicalSteps() int {
-	return len(m.schedule) + kwRounds(m.finalK, m.target)
-}
-
-func (m *d2Machine) totalRounds() int { return 2*m.logicalSteps() + 1 }
 
 func (m *d2Machine) Round(round int, recv []local.Message) ([]local.Message, bool) {
 	if m.err != nil {
 		return nil, true
 	}
 	if round%2 == 1 {
-		// A round. Fold in the forwarded maps (sent in the previous B
+		// A round. Fold in the forwarded pairs (sent in the previous B
 		// round), then apply the due logical step and broadcast the colour.
 		if round > 1 {
-			for k := range m.heard {
-				delete(m.heard, k)
-			}
+			m.heard = m.heard[:0]
 			for _, msg := range recv {
 				if msg == nil {
 					continue
 				}
-				mp, ok := msg.(d2MapMsg)
+				pm, ok := msg.(*d2PairsMsg)
 				if !ok {
 					m.err = fmt.Errorf("coloring: unexpected B-round message %T", msg)
 					return nil, true
 				}
-				for id, c := range mp {
-					if id != m.info.ID {
-						m.heard[id] = c
+				for _, p := range pm.pairs {
+					if p.id != m.info.ID {
+						m.heard = append(m.heard, p.color)
 					}
 				}
 			}
-			step := (round-3)/2 + 0 // logical step index applied this round
-			neighborColors := make([]int, 0, len(m.heard))
-			for _, c := range m.heard {
-				neighborColors = append(neighborColors, c)
-			}
+			step := (round - 3) / 2 // logical step index applied this round
 			switch {
 			case step < len(m.schedule):
-				next, err := Reduce(m.schedule[step], m.color, neighborColors)
+				next, err := Reduce(m.schedule[step], m.color, m.heard)
 				if err != nil {
 					m.err = err
 					return nil, true
@@ -104,7 +100,7 @@ func (m *d2Machine) Round(round int, recv []local.Message) ([]local.Message, boo
 				m.color = next
 			default:
 				j := (step - len(m.schedule)) % m.target
-				next, ok := kwStep(m.target, j, m.color, neighborColors)
+				next, ok := kwStep(m.target, j, m.color, m.heard)
 				if !ok {
 					m.err = fmt.Errorf("coloring: no free colour below target %d", m.target)
 					return nil, true
@@ -112,16 +108,15 @@ func (m *d2Machine) Round(round int, recv []local.Message) ([]local.Message, boo
 				m.color = next
 			}
 		}
-		send := make([]local.Message, m.info.Degree())
-		for i := range send {
-			send[i] = d2ColorMsg(m.color)
+		msg := local.Message(d2ColorMsg(m.color))
+		for i := range m.send {
+			m.send[i] = msg
 		}
-		return send, round >= m.totalRounds()
+		return m.send, round >= m.rounds
 	}
 
 	// B round: forward the colours received in the A round, plus our own.
-	mp := make(d2MapMsg, len(recv)+1)
-	mp[m.info.ID] = m.color
+	m.out.pairs = append(m.out.pairs[:0], d2Pair{id: m.info.ID, color: m.color})
 	for i, msg := range recv {
 		if msg == nil {
 			continue
@@ -131,13 +126,12 @@ func (m *d2Machine) Round(round int, recv []local.Message) ([]local.Message, boo
 			m.err = fmt.Errorf("coloring: unexpected A-round message %T", msg)
 			return nil, true
 		}
-		mp[m.info.NeighborIDs[i]] = int(c)
+		m.out.pairs = append(m.out.pairs, d2Pair{id: m.info.NeighborIDs[i], color: int(c)})
 	}
-	send := make([]local.Message, m.info.Degree())
-	for i := range send {
-		send[i] = mp
+	for i := range m.send {
+		m.send[i] = &m.out
 	}
-	return send, false
+	return m.send, false
 }
 
 // DistributedDistance2Native computes a distance-2 colouring of g with at

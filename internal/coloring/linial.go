@@ -91,6 +91,10 @@ func Reduce(s Step, color int, neighborColors []int) (int, error) {
 	}
 	f := gf.New(s.Q)
 	mine := gf.Digits(color, s.Q, s.T)
+	mineAt := make([]int, s.Q) // my polynomial's value at every point
+	for x := range mineAt {
+		mineAt[x] = f.Eval(mine, x)
+	}
 	blocked := make([]bool, s.Q)
 	for _, nc := range neighborColors {
 		if nc == color {
@@ -101,14 +105,14 @@ func Reduce(s Step, color int, neighborColors []int) (int, error) {
 		}
 		theirs := gf.Digits(nc, s.Q, s.T)
 		for x := 0; x < s.Q; x++ {
-			if !blocked[x] && f.Eval(mine, x) == f.Eval(theirs, x) {
+			if !blocked[x] && mineAt[x] == f.Eval(theirs, x) {
 				blocked[x] = true
 			}
 		}
 	}
 	for x := 0; x < s.Q; x++ {
 		if !blocked[x] {
-			return x*s.Q + f.Eval(mine, x), nil
+			return x*s.Q + mineAt[x], nil
 		}
 	}
 	return 0, fmt.Errorf("coloring: no free evaluation point (degree exceeds the step's Δ bound: %d neighbours, q=%d, t=%d)", len(neighborColors), s.Q, s.T)

@@ -29,13 +29,18 @@ import (
 // each machine's view is merged only from its own inbox.
 //
 // Every class takes a two-round cycle: an act round in which the scheduled
-// nodes fix variables (using the chooseRank* kernels on their local view)
-// and broadcast the new fixings and φ values, and an echo round in which
-// the 1-hop neighbours fold those updates into their own broadcast state, so
-// the next class's actors see a consistent 2-hop-fresh view. Each φ entry
-// carries the round in which it was written; merging keeps the newest entry,
-// which makes the repeated full-state broadcasts (unbounded messages are
-// exactly what the LOCAL model permits) idempotent.
+// nodes fix variables (using the chooseRank* kernels on their local view),
+// and an echo round in which their neighbours pass the new entries one hop
+// further. Each round a node sends one message, shared by all its ports,
+// holding the fixings and φ entries it produced this round plus the entries
+// it received this round from their producers, so every entry travels
+// exactly two hops. That suffices: an actor reads only the fixings of the
+// variables in the scopes of its closed neighbourhood's events and φ on the
+// edges among those events, all produced within distance two, and an entry
+// produced in one act round reaches distance two at the start of the next,
+// before anyone acts. Messages therefore hold O(d · scope) entries,
+// independent of n. Each φ entry carries the round in which it was
+// written; merging keeps the newest entry.
 
 // pairKey identifies a dependency edge by its two event endpoints.
 type pairKey struct{ lo, hi int }
@@ -60,10 +65,31 @@ type phiEntry struct {
 	ver int
 }
 
-// stateMsg is the full local view a node broadcasts each round.
-type stateMsg struct {
-	fixings map[int]int
-	phi     map[phiKey]phiEntry
+// fixing records that variable vid was fixed to value val.
+type fixing struct{ vid, val int }
+
+// phiUpdate is one versioned φ entry.
+type phiUpdate struct {
+	key phiKey
+	phiEntry
+}
+
+// delta is a batch of fixings and φ entries.
+type delta struct {
+	fixings []fixing
+	phi     []phiUpdate
+}
+
+func (d *delta) reset() {
+	d.fixings = d.fixings[:0]
+	d.phi = d.phi[:0]
+}
+
+// fixMsg is the message a node sends on every port in one round: own holds
+// the entries it produced this round, relay the entries it received this
+// round from their producers. A receiver merges both and relays only own.
+type fixMsg struct {
+	own, relay delta
 }
 
 type distMode int
@@ -91,29 +117,24 @@ type lllMachine struct {
 	myClass    int         // modeNodeClasses: my distance-2 colour
 	edgeClass  map[int]int // modeEdgeClasses: neighbour event -> edge colour
 
-	info  local.NodeInfo
-	vars  []int       // variables affecting my event, sorted
-	known map[int]int // varID -> fixed value (local view)
-	view  *model.Assignment
-	phi   map[phiKey]phiEntry
-	fixes int // variables fixed by this node
-	err   error
+	vars []int             // variables affecting my event, sorted
+	view *model.Assignment // the fixings I know of
+	phi  map[phiKey]phiEntry
+	// Receivers read a round's message during the next round, so the
+	// machine alternates two message buffers by round parity; out is this
+	// round's. send is the per-port slice, reused every round.
+	bufs [2]fixMsg
+	out  *fixMsg
+	send []local.Message
+	err  error
 }
 
 func (m *lllMachine) Init(info local.NodeInfo) {
-	m.info = info
-	m.known = make(map[int]int)
 	m.view = model.NewAssignment(m.inst)
 	m.phi = make(map[phiKey]phiEntry)
-	for vid := 0; vid < m.inst.NumVars(); vid++ {
-		for _, e := range m.inst.Var(vid).Events {
-			if e == m.me {
-				m.vars = append(m.vars, vid)
-				break
-			}
-		}
-	}
+	m.vars = append([]int(nil), m.inst.Event(m.me).Scope...)
 	sort.Ints(m.vars)
+	m.send = make([]local.Message, info.Degree())
 }
 
 func (m *lllMachine) totalRounds() int { return 2*m.numClasses + 1 }
@@ -125,31 +146,49 @@ func (m *lllMachine) phiValue(edge pairKey, at int) float64 {
 	return 1
 }
 
+// setPhi writes a φ entry and announces its key in this round's message.
+// An actor may write one key twice in a round (two hyperedges sharing a
+// pair of events, or two variables on one edge); the key is announced once
+// and its final value is read back when the message is sealed, because
+// merging keeps the first of two entries with equal versions.
 func (m *lllMachine) setPhi(edge pairKey, at int, val float64, round int) {
-	m.phi[phiKey{edge: edge, at: at}] = phiEntry{val: val, ver: round}
+	k := phiKey{edge: edge, at: at}
+	if cur, ok := m.phi[k]; !ok || cur.ver < round {
+		m.out.own.phi = append(m.out.own.phi, phiUpdate{key: k})
+	}
+	m.phi[k] = phiEntry{val: val, ver: round}
 }
 
 func (m *lllMachine) learn(vid, val int) error {
-	if old, ok := m.known[vid]; ok {
-		if old != val {
+	if m.view.Fixed(vid) {
+		if old := m.view.Value(vid); old != val {
 			return fmt.Errorf("core: conflicting values %d and %d for variable %d", old, val, vid)
 		}
 		return nil
 	}
-	m.known[vid] = val
 	m.view.Fix(vid, val)
 	return nil
 }
 
-func (m *lllMachine) merge(msg *stateMsg) error {
-	for vid, val := range msg.fixings {
-		if err := m.learn(vid, val); err != nil {
+// fix records my own fixing of vid and announces it in this round's
+// message.
+func (m *lllMachine) fix(vid, val int) {
+	if err := m.learn(vid, val); err != nil {
+		m.err = err
+		return
+	}
+	m.out.own.fixings = append(m.out.own.fixings, fixing{vid: vid, val: val})
+}
+
+func (m *lllMachine) merge(d *delta) error {
+	for _, f := range d.fixings {
+		if err := m.learn(f.vid, f.val); err != nil {
 			return err
 		}
 	}
-	for k, e := range msg.phi {
-		if cur, ok := m.phi[k]; !ok || e.ver > cur.ver {
-			m.phi[k] = e
+	for _, u := range d.phi {
+		if cur, ok := m.phi[u.key]; !ok || u.ver > cur.ver {
+			m.phi[u.key] = u.phiEntry
 		}
 	}
 	return nil
@@ -159,19 +198,28 @@ func (m *lllMachine) Round(round int, recv []local.Message) ([]local.Message, bo
 	if m.err != nil {
 		return nil, true
 	}
+	m.out = &m.bufs[round%2]
+	m.out.own.reset()
+	m.out.relay.reset()
 	for _, msg := range recv {
 		if msg == nil {
 			continue
 		}
-		sm, ok := msg.(*stateMsg)
+		fm, ok := msg.(*fixMsg)
 		if !ok {
 			m.err = fmt.Errorf("core: unexpected message type %T", msg)
 			return nil, true
 		}
-		if err := m.merge(sm); err != nil {
+		if err := m.merge(&fm.own); err != nil {
 			m.err = err
 			return nil, true
 		}
+		if err := m.merge(&fm.relay); err != nil {
+			m.err = err
+			return nil, true
+		}
+		m.out.relay.fixings = append(m.out.relay.fixings, fm.own.fixings...)
+		m.out.relay.phi = append(m.out.relay.phi, fm.own.phi...)
 	}
 
 	switch {
@@ -189,40 +237,26 @@ func (m *lllMachine) Round(round int, recv []local.Message) ([]local.Message, bo
 		return nil, true
 	}
 
-	// Broadcast the full current view; receivers treat it as immutable.
-	snapshot := &stateMsg{
-		fixings: make(map[int]int, len(m.known)),
-		phi:     make(map[phiKey]phiEntry, len(m.phi)),
+	// Seal the message: every announced φ key carries its final value.
+	for i := range m.out.own.phi {
+		m.out.own.phi[i].phiEntry = m.phi[m.out.own.phi[i].key]
 	}
-	for vid, val := range m.known {
-		snapshot.fixings[vid] = val
+	for i := range m.send {
+		m.send[i] = m.out
 	}
-	for k, e := range m.phi {
-		snapshot.phi[k] = e
-	}
-	send := make([]local.Message, m.info.Degree())
-	for i := range send {
-		send[i] = snapshot
-	}
-	return send, round >= m.totalRounds()
+	return m.send, round >= m.totalRounds()
 }
 
 func (m *lllMachine) fixPrivateVars() {
 	for _, vid := range m.vars {
-		events := m.inst.Var(vid).Events
-		if len(events) != 1 || events[0] != m.me {
-			continue
-		}
-		if _, fixed := m.known[vid]; fixed {
+		if len(m.inst.Var(vid).Events) != 1 || m.view.Fixed(vid) {
 			continue
 		}
 		val := chooseRank1(m.orc, m.view, vid, m.me, m.opts)
 		m.obs.step(m.inst.Var(vid).Dist.Size(), 1, false)
-		if err := m.learn(vid, val); err != nil {
-			m.err = err
+		if m.fix(vid, val); m.err != nil {
 			return
 		}
-		m.fixes++
 	}
 }
 
@@ -242,7 +276,7 @@ func (m *lllMachine) actOnClass(class, round int) {
 // its lower-indexed event endpoint.
 func (m *lllMachine) actEdgeClass(class, round int) {
 	for _, vid := range m.vars {
-		if _, fixed := m.known[vid]; fixed {
+		if m.view.Fixed(vid) {
 			continue
 		}
 		events := m.inst.Var(vid).Events
@@ -270,7 +304,7 @@ func (m *lllMachine) actEdgeClass(class, round int) {
 // class's turn).
 func (m *lllMachine) actNodeClass(round int) {
 	for _, vid := range m.vars {
-		if _, fixed := m.known[vid]; fixed {
+		if m.view.Fixed(vid) {
 			continue
 		}
 		events := m.inst.Var(vid).Events
@@ -279,11 +313,7 @@ func (m *lllMachine) actNodeClass(round int) {
 			// Already handled in round 1; fix defensively if still open.
 			val := chooseRank1(m.orc, m.view, vid, m.me, m.opts)
 			m.obs.step(m.inst.Var(vid).Dist.Size(), 1, false)
-			if err := m.learn(vid, val); err != nil {
-				m.err = err
-				return
-			}
-			m.fixes++
+			m.fix(vid, val)
 		case 2:
 			m.fixRank2Local(vid, events[0], events[1], round)
 		case 3:
@@ -303,14 +333,12 @@ func (m *lllMachine) fixRank2Local(vid, u, v, round int) {
 	t := m.phiValue(edge, v)
 	val, newU, newV, fallback := chooseRank2(m.orc, m.view, vid, u, v, s, t, m.opts)
 	m.obs.step(m.inst.Var(vid).Dist.Size(), 2, fallback)
-	if err := m.learn(vid, val); err != nil {
-		m.err = err
+	if m.fix(vid, val); m.err != nil {
 		return
 	}
 	m.setPhi(edge, u, newU, round)
 	m.setPhi(edge, v, newV, round)
 	m.obs.phiEdge(newU + newV)
-	m.fixes++
 }
 
 func (m *lllMachine) fixRank3Local(vid, u, v, w, round int) {
@@ -326,8 +354,7 @@ func (m *lllMachine) fixRank3Local(vid, u, v, w, round int) {
 		return
 	}
 	m.obs.step(m.inst.Var(vid).Dist.Size(), 3, fallback)
-	if err := m.learn(vid, val); err != nil {
-		m.err = err
+	if m.fix(vid, val); m.err != nil {
 		return
 	}
 	m.setPhi(e, u, wit.A1, round)
@@ -339,7 +366,6 @@ func (m *lllMachine) fixRank3Local(vid, u, v, w, round int) {
 	m.obs.phiEdge(wit.A1 + wit.B1)
 	m.obs.phiEdge(wit.A2 + wit.C2)
 	m.obs.phiEdge(wit.B3 + wit.C3)
-	m.fixes++
 }
 
 // DistResult is the outcome of a distributed fixing run.
@@ -459,15 +485,20 @@ func partialDistResult(coloringRounds int, stats local.Stats, classes int) *Dist
 	}
 }
 
-// collectDistResult merges the machines' local views into one global
-// assignment, fixes event-free variables, and evaluates the outcome.
+// collectDistResult merges the machines' local views of their own scopes
+// into one global assignment, fixes event-free variables, and evaluates the
+// outcome.
 func collectDistResult(inst *model.Instance, machines []*lllMachine, coloringRounds int, stats local.Stats, classes int) (*DistResult, error) {
 	a := model.NewAssignment(inst)
 	for v, m := range machines {
 		if m.err != nil {
 			return nil, fmt.Errorf("core: node %d failed: %w", v, m.err)
 		}
-		for vid, val := range m.known {
+		for _, vid := range m.vars {
+			if !m.view.Fixed(vid) {
+				continue
+			}
+			val := m.view.Value(vid)
 			if a.Fixed(vid) {
 				if a.Value(vid) != val {
 					return nil, fmt.Errorf("core: nodes disagree on variable %d", vid)

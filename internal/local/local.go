@@ -41,10 +41,11 @@ import (
 	"repro/internal/prng"
 )
 
-// Message is an arbitrary value exchanged between neighbors. Messages must
-// be treated as immutable by both sender and receiver: the runtime passes
-// them by reference for efficiency, so mutating a received message is a data
-// race by design. A nil Message means "no message".
+// Message is an arbitrary value exchanged between neighbors. The runtime
+// passes messages by reference for efficiency, so a receiver must treat a
+// message as immutable (mutating it is a data race by design), and so must
+// the sender until the Machine buffer contract lets it reuse the value. A
+// nil Message means "no message".
 type Message any
 
 // NodeInfo is the static knowledge a node has at wake-up: its own ID and
@@ -65,6 +66,14 @@ type NodeInfo struct {
 func (n *NodeInfo) Degree() int { return len(n.NeighborIDs) }
 
 // Machine is the program run by one node.
+//
+// Buffer contract: the runtime reads the send slice a Round call returns
+// only until that round's delivery phase ends, so a machine may return the
+// same slice every round. The message values themselves are read by the
+// receivers during the next round's compute phase, concurrently with the
+// sender's next Round call, so a value sent in round r must not change
+// before round r+2: allocate it fresh, or alternate two buffers by round
+// parity.
 type Machine interface {
 	// Init is called once before the first round.
 	Init(info NodeInfo)

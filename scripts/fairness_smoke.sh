@@ -52,9 +52,11 @@ curl -sf "$BASE/healthz" > /dev/null
 # Saturating backlog from both weighted tenants (the adversarial closed
 # loop resubmits the moment a job finishes, so each keeps its sub-queue
 # non-empty) plus an abuser that outruns its own 1 req/s token bucket.
-# The job must be expensive relative to the client's HTTP round trips
-# (n=512 dist runs ~400ms) — a sub-queue only backs up, and weighted
-# fairness only binds, when the server is the bottleneck.
+# The job must be expensive relative to the client's HTTP round trips — a
+# sub-queue only backs up, and weighted fairness only binds, when the
+# server is the bottleneck. An n=512 dist job runs ~70ms in process on a
+# 2-vCPU host, so 16 closed-loop clients against 2-4 in-flight slots keep
+# both weighted sub-queues backed up for the whole run.
 "$BIN/lllload" -addr "$BASE" -duration 25s \
   -spec '{"family":"sinkless","n":512,"degree":3,"margin":0.9,"algorithm":"dist"}' \
   -tenants 'gold=adversarial:8,silver=adversarial:8,abuser=adversarial:4' \
