@@ -432,7 +432,7 @@ func FixDistributed2(inst *model.Instance, opts Options, lopts local.Options) (*
 	if err != nil {
 		return partialDistResult(ec.Rounds*ec.SimFactor, stats, ec.Palette), err
 	}
-	return collectDistResult(inst, machines, ec.Rounds*ec.SimFactor, stats, ec.Palette)
+	return collectDistResult(inst, orc, machines, ec.Rounds*ec.SimFactor, stats, ec.Palette)
 }
 
 // FixDistributed3 is Corollary 1.4: a deterministic distributed algorithm
@@ -468,7 +468,7 @@ func FixDistributed3(inst *model.Instance, opts Options, lopts local.Options) (*
 	if err != nil {
 		return partialDistResult(d2.Rounds*d2.SimFactor, stats, d2.Palette), err
 	}
-	return collectDistResult(inst, machines, d2.Rounds*d2.SimFactor, stats, d2.Palette)
+	return collectDistResult(inst, orc, machines, d2.Rounds*d2.SimFactor, stats, d2.Palette)
 }
 
 // partialDistResult packages the round/message accounting of a failed
@@ -487,8 +487,8 @@ func partialDistResult(coloringRounds int, stats local.Stats, classes int) *Dist
 
 // collectDistResult merges the machines' local views of their own scopes
 // into one global assignment, fixes event-free variables, and evaluates the
-// outcome.
-func collectDistResult(inst *model.Instance, machines []*lllMachine, coloringRounds int, stats local.Stats, classes int) (*DistResult, error) {
+// outcome with the run's oracle.
+func collectDistResult(inst *model.Instance, orc oracle, machines []*lllMachine, coloringRounds int, stats local.Stats, classes int) (*DistResult, error) {
 	a := model.NewAssignment(inst)
 	for v, m := range machines {
 		if m.err != nil {
@@ -516,7 +516,7 @@ func collectDistResult(inst *model.Instance, machines []*lllMachine, coloringRou
 			a.Fix(vid, 0) // affects nothing
 		}
 	}
-	violated, err := newOracle(inst).CountViolated(a)
+	violated, err := orc.CountViolated(a)
 	if err != nil {
 		return nil, err
 	}

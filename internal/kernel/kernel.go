@@ -15,15 +15,15 @@
 // instance's own predicate/probability functions, which keeps the kernel a
 // pure accelerator: it never changes semantics, only layout.
 //
-// Compilation is per-instance and cached (For); kernels can be disabled
-// process-wide (SetEnabled) to force every caller back onto the generic
-// path, which is how the differential tests use the old code as an oracle.
+// Compilation is per run (For): a kernel is owned by the run that compiled
+// it and dies with it. Kernels can be disabled process-wide (SetEnabled) to
+// force every caller back onto the generic path, which is how the
+// differential tests use the old code as an oracle.
 package kernel
 
 import (
 	"fmt"
 	"math/bits"
-	"sync"
 	"sync/atomic"
 
 	"repro/internal/dist"
@@ -34,9 +34,9 @@ import (
 // kindGeneric events gather their scope values and call the instance's own
 // predicate (and probability) functions.
 const (
-	kindGeneric uint8 = iota
-	kindConj          // conjunction: bad iff every scope value is in its bad set
-	kindAllEqual      // all-equal: bad iff all scope values coincide
+	kindGeneric  uint8 = iota
+	kindConj           // conjunction: bad iff every scope value is in its bad set
+	kindAllEqual       // all-equal: bad iff all scope values coincide
 )
 
 // maxConjValues bounds the value-space size of a conjunction scope slot that
@@ -327,7 +327,7 @@ func cumulative(d *dist.Distribution) []float64 {
 	return out
 }
 
-// enabled gates the For cache process-wide; kernels default to on.
+// enabled gates For process-wide; kernels default to on.
 var enabled atomic.Bool
 
 func init() { enabled.Store(true) }
@@ -342,44 +342,18 @@ func Enabled() bool { return enabled.Load() }
 // between runs, not while one is in flight.
 func SetEnabled(v bool) bool { return enabled.Swap(v) }
 
-// forCacheCap bounds the compile cache. Instances are immutable and usually
-// long-lived, but services compile transient instances too; a small cap with
-// arbitrary eviction keeps the cache from growing without bound while still
-// making repeated runs over the same instance free.
-const forCacheCap = 64
-
-var (
-	forMu    sync.Mutex
-	forCache = make(map[*model.Instance]*Compiled)
-)
-
-// For returns the compiled kernel for inst, compiling and caching it on
-// first use. It returns nil when kernels are disabled process-wide or the
-// instance cannot be compiled; callers must treat nil as "use the generic
-// path". Concurrent callers may compile the same instance twice; the result
-// is identical either way.
+// For compiles the kernel for inst. It returns nil when kernels are
+// disabled process-wide or the instance cannot be compiled; callers must
+// treat nil as "use the generic path". For keeps nothing: a kernel lives as
+// long as the run that asked for it, so each run calls For once and shares
+// the result read-only across its goroutines.
 func For(inst *model.Instance) *Compiled {
 	if inst == nil || !Enabled() {
 		return nil
 	}
-	forMu.Lock()
-	c, ok := forCache[inst]
-	forMu.Unlock()
-	if ok {
-		return c
-	}
 	c, err := Compile(inst)
 	if err != nil {
-		c = nil // cache the failure so it is not recompiled every call
+		return nil
 	}
-	forMu.Lock()
-	if len(forCache) >= forCacheCap {
-		for k := range forCache {
-			delete(forCache, k)
-			break
-		}
-	}
-	forCache[inst] = c
-	forMu.Unlock()
 	return c
 }

@@ -5,6 +5,7 @@ import (
 	"math"
 	"runtime"
 	"testing"
+	"time"
 
 	"repro/internal/apps"
 	"repro/internal/dist"
@@ -506,19 +507,15 @@ func TestAssignmentMirrorsModel(t *testing.T) {
 	}
 }
 
-// TestForCacheAndSetEnabled pins the compile cache and the process-wide
-// kill switch the differential tests rely on.
+// TestForCacheAndSetEnabled pins the process-wide kill switch the
+// differential tests rely on.
 func TestForCacheAndSetEnabled(t *testing.T) {
 	inst := manualMixedInstance(t)
 	if !Enabled() {
 		t.Fatal("kernels should default to enabled")
 	}
-	c1 := For(inst)
-	if c1 == nil {
+	if For(inst) == nil {
 		t.Fatal("For returned nil with kernels enabled")
-	}
-	if c2 := For(inst); c2 != c1 {
-		t.Error("second For did not hit the cache")
 	}
 	prev := SetEnabled(false)
 	defer SetEnabled(prev)
@@ -532,7 +529,32 @@ func TestForCacheAndSetEnabled(t *testing.T) {
 		t.Error("For(nil) must be nil")
 	}
 	SetEnabled(true)
-	if For(inst) != c1 {
-		t.Error("re-enabling lost the cached kernel")
+	if For(inst) == nil {
+		t.Error("For returned nil after kernels were re-enabled")
+	}
+}
+
+// TestForKeepsNoReference: For holds on to neither the instance nor its
+// kernel, so both are collected once the run that asked for them drops
+// them.
+func TestForKeepsNoReference(t *testing.T) {
+	collected := make(chan struct{})
+	func() {
+		inst := manualMixedInstance(t)
+		runtime.SetFinalizer(inst, func(*model.Instance) { close(collected) })
+		if For(inst) == nil {
+			t.Fatal("For returned nil with kernels enabled")
+		}
+	}()
+	deadline := time.After(5 * time.Second)
+	for {
+		runtime.GC()
+		select {
+		case <-collected:
+			return
+		case <-deadline:
+			t.Fatal("instance still reachable after For: the kernel package kept a reference")
+		case <-time.After(10 * time.Millisecond):
+		}
 	}
 }

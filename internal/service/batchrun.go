@@ -34,21 +34,22 @@ type groupKey struct {
 type batchItem struct {
 	idx  int // 0-based batch position
 	spec JobSpec
-	inst *model.Instance
-	key  uint64 // cache key; valid iff cacheable
+	inst *model.Instance // built when its group runs, released when it ends
+	key  uint64          // cache key; valid iff cacheable
 	pkey groupKey
 }
 
 // runBatch executes a batch job: every cache-eligible instance is first
-// looked up in the canonical result cache; the misses are deduplicated
-// in-batch by cache key, grouped by algorithm and budget, and each group
-// runs as ONE packed engine run (internal/batch) whose per-instance
-// results are bit-identical to solo jobs with the same spec — so entries
-// written by a batch populate the cache for later solo jobs and vice
-// versa. The LOCAL-model algorithms fall back to per-instance solo runs
-// inside the batch job. Aggregate "round" events stream per packed round
-// and one "instance_end" event per instance, multiplexed by
-// Event.Instance (1-based).
+// looked up in the result cache by its spec key; the misses are
+// deduplicated in-batch by cache key, grouped by algorithm and budget, and
+// each group builds its instances, runs as ONE packed engine run
+// (internal/batch) whose per-instance results are bit-identical to solo
+// jobs with the same spec, and releases them — so entries written by a
+// batch populate the cache for later solo jobs and vice versa, and only one
+// group's instances are alive at a time. The LOCAL-model algorithms fall
+// back to per-instance solo runs inside the batch job. Aggregate "round"
+// events stream per packed round and one "instance_end" event per
+// instance, multiplexed by Event.Instance (1-based).
 func (s *Service) runBatch(ctx context.Context, js JobSpec, att Attempt, emit func(Event)) (*Summary, error) {
 	subs := js.Batch
 	sum := &Summary{
@@ -60,9 +61,10 @@ func (s *Service) runBatch(ctx context.Context, js JobSpec, att Attempt, emit fu
 		sum.Instances[i] = InstanceSummary{Index: i + 1, Algorithm: subs[i].Algorithm, Seed: subs[i].Seed}
 	}
 
-	// Resolve the engine pool for the packed runs: the job-level Workers
-	// field (clamped by the service cap), defaulting to the shared pool.
-	// Worker count never changes results (engine determinism contract).
+	// Resolve the engine pool for the builds and packed runs: the job-level
+	// Workers field (clamped by the service cap), defaulting to the shared
+	// pool. Worker count never changes results (engine determinism
+	// contract).
 	workers := js.Workers
 	if s.cfg.MaxWorkersPerJob > 0 && (workers == 0 || workers > s.cfg.MaxWorkersPerJob) {
 		workers = s.cfg.MaxWorkersPerJob
@@ -89,11 +91,8 @@ func (s *Service) runBatch(ctx context.Context, js JobSpec, att Attempt, emit fu
 		emit(Event{Kind: "instance_end", Instance: it.idx + 1, CacheHit: isum.CacheHit})
 	}
 
-	// Phase 1: serve cache hits, dedupe identical misses, build the
-	// instances that actually have to run. Cache-eligible specs resolve
-	// their key through the spec-identity memo first, so duplicates —
-	// within this batch or across earlier jobs — never pay a second
-	// instance build or canonical hash. The phase is timed as a
+	// Phase 1: serve cache hits and dedupe identical misses. Keys are folds
+	// of the specs, so nothing is built here. The phase is timed as a
 	// "batch_prepare" span under the job's trace.
 	psp, _ := s.cfg.Trace.StartSpan(ctx, "batch_prepare")
 	var leaders []*batchItem
@@ -107,12 +106,7 @@ func (s *Service) runBatch(ctx context.Context, js JobSpec, att Attempt, emit fu
 		it := &batchItem{idx: i, spec: sub}
 		it.pkey = groupKey{alg: sub.Algorithm, maxRounds: sub.MaxRounds, maxResamplings: sub.MaxResamplings, maxIter: sub.MaxIters}
 		if s.cacheable(sub) {
-			key, inst, err := s.jobKeyInst(sub)
-			if err != nil {
-				finishInstance(it, nil, fmt.Errorf("building instance: %w", err))
-				continue
-			}
-			it.key, it.inst = key, inst
+			it.key = cacheKey(sub)
 			if cached, ok := s.cache.get(it.key); ok {
 				sum.NumEvents += cached.NumEvents
 				sum.NumVars += cached.NumVars
@@ -121,30 +115,13 @@ func (s *Service) runBatch(ctx context.Context, js JobSpec, att Attempt, emit fu
 				continue
 			}
 			if leader, ok := leaderByKey[it.key]; ok {
-				// Identical instance earlier in this batch: solve once,
-				// fan the result out below.
-				sum.NumEvents += leader.inst.NumEvents()
-				sum.NumVars += leader.inst.NumVars()
+				// Identical spec earlier in this batch: solve once, fan
+				// the result out below.
 				followers[leader.key] = append(followers[leader.key], it)
 				continue
 			}
 			leaderByKey[it.key] = it
 		}
-		if it.inst == nil {
-			// Memo hit (key known, nothing built) but cache miss and no
-			// in-batch leader yet: this item runs, so it needs its instance.
-			inst, err := buildInstance(sub)
-			if err != nil {
-				if s.cacheable(sub) {
-					delete(leaderByKey, it.key)
-				}
-				finishInstance(it, nil, fmt.Errorf("building instance: %w", err))
-				continue
-			}
-			it.inst = inst
-		}
-		sum.NumEvents += it.inst.NumEvents()
-		sum.NumVars += it.inst.NumVars()
 		leaders = append(leaders, it)
 	}
 	psp.End()
@@ -161,6 +138,13 @@ func (s *Service) runBatch(ctx context.Context, js JobSpec, att Attempt, emit fu
 		groups[it.pkey] = append(groups[it.pkey], it)
 	}
 
+	// built adds a leader's instance size to the aggregate once for the
+	// leader and once for each of its in-batch duplicates.
+	built := func(it *batchItem, numEvents, numVars int) {
+		n := 1 + len(followers[it.key])
+		sum.NumEvents += n * numEvents
+		sum.NumVars += n * numVars
+	}
 	complete := func(it *batchItem, isum *Summary, err error) {
 		stored := err == nil && isum != nil && !isum.Partial && s.cacheable(it.spec)
 		if stored {
@@ -190,16 +174,23 @@ func (s *Service) runBatch(ctx context.Context, js JobSpec, att Attempt, emit fu
 		})
 	}
 	for _, gk := range order {
-		items := groups[gk]
+		if runErr == nil {
+			runErr = ctx.Err()
+		}
 		if runErr != nil {
 			break
 		}
+		items := groups[gk]
 		// Each packing group gets its own sibling span; gctx parents the
-		// group's packed (or solo) runs to it.
+		// group's build and its packed (or solo) runs to it.
 		gsp, gctx := s.cfg.Trace.StartSpan(ctx, "batch_group:"+gk.alg)
 		if !packable(gk.alg) {
+			// RunSpec builds each instance itself.
 			for _, it := range items {
 				isum, err := s.runSolo(gctx, it, att, emit)
+				if isum != nil {
+					built(it, isum.NumEvents, isum.NumVars)
+				}
 				complete(it, isum, err)
 				if err != nil && ctx.Err() != nil {
 					runErr = err
@@ -209,46 +200,65 @@ func (s *Service) runBatch(ctx context.Context, js JobSpec, att Attempt, emit fu
 			gsp.End()
 			continue
 		}
-		insts := make([]*model.Instance, len(items))
-		seeds := make([]uint64, len(items))
+		// Build the group's instances in parallel on the job's pool. Each
+		// build writes only its own slot, so nothing depends on the worker
+		// count. A build error fails that instance (and its duplicates)
+		// alone, with the error text a solo job reports.
+		errs := make([]error, len(items))
+		bsp, _ := s.cfg.Trace.StartSpan(gctx, "build_instance")
+		pool.ForEach(len(items), func(i int) {
+			items[i].inst, errs[i] = buildInstance(items[i].spec)
+		})
+		bsp.End()
+		var run []*batchItem
+		var insts []*model.Instance
+		var seeds []uint64
 		for i, it := range items {
-			insts[i] = it.inst
-			seeds[i] = it.spec.Seed
-		}
-		packed := batch.Pack(insts)
-		opts := batch.Options{
-			Ctx:            gctx,
-			Pool:           pool,
-			MaxRounds:      gk.maxRounds,
-			MaxResamplings: gk.maxResamplings,
-			OnRound:        onRound,
-			Metrics:        s.cfg.Metrics,
-		}
-		var results []batch.Result
-		var err error
-		switch gk.alg {
-		case AlgMTPar:
-			results, err = batch.RunParallelMT(packed, seeds, opts)
-		case AlgMTSeq:
-			results, err = batch.RunSequentialMT(packed, seeds, opts)
-		case AlgOneShot:
-			results, err = batch.RunOneShot(packed, seeds, opts)
-		case AlgSeq:
-			results, err = batch.RunFixSequential(packed, opts)
-		}
-		if err != nil {
-			runErr = err
-		}
-		for i, it := range items {
-			if results == nil {
-				complete(it, nil, err)
+			if errs[i] != nil {
+				complete(it, nil, fmt.Errorf("building instance: %w", errs[i]))
 				continue
 			}
-			isum := packedSummary(it, results[i])
-			if err != nil {
-				isum.Partial = true
+			built(it, it.inst.NumEvents(), it.inst.NumVars())
+			run = append(run, it)
+			insts = append(insts, it.inst)
+			seeds = append(seeds, it.spec.Seed)
+		}
+		if len(run) > 0 {
+			packed := batch.Pack(insts)
+			opts := batch.Options{
+				Ctx:            gctx,
+				Pool:           pool,
+				MaxRounds:      gk.maxRounds,
+				MaxResamplings: gk.maxResamplings,
+				OnRound:        onRound,
+				Metrics:        s.cfg.Metrics,
 			}
-			complete(it, isum, results[i].Err)
+			var results []batch.Result
+			switch gk.alg {
+			case AlgMTPar:
+				results, runErr = batch.RunParallelMT(packed, seeds, opts)
+			case AlgMTSeq:
+				results, runErr = batch.RunSequentialMT(packed, seeds, opts)
+			case AlgOneShot:
+				results, runErr = batch.RunOneShot(packed, seeds, opts)
+			case AlgSeq:
+				results, runErr = batch.RunFixSequential(packed, opts)
+			}
+			for i, it := range run {
+				if results == nil {
+					complete(it, nil, runErr)
+					continue
+				}
+				isum := packedSummary(it, results[i])
+				if runErr != nil {
+					isum.Partial = true
+				}
+				complete(it, isum, results[i].Err)
+			}
+		}
+		// Release the group's instances before the next group builds.
+		for _, it := range items {
+			it.inst = nil
 		}
 		gsp.End()
 	}

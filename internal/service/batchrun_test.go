@@ -1,6 +1,8 @@
 package service
 
 import (
+	"context"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -238,5 +240,152 @@ func TestBatchRequestJobSpec(t *testing.T) {
 	}
 	if _, err := (BatchRequest{Template: tmpl, Count: 2, Seeds: []uint64{1, 2, 3}}.JobSpec()); err == nil {
 		t.Error("count/seeds mismatch accepted")
+	}
+}
+
+// TestBatchPrepareMixed drives one batch through every prepare-phase case:
+// an entry an earlier job cached, an in-batch duplicate, an unbuildable
+// spec listed twice, a LOCAL (dist) member, and an mtpar and a seq group.
+// At every worker count each instance matches its solo job, the aggregate
+// counts every member whose build succeeded, both copies of the bad spec
+// carry one "building instance" error, and each group that builds shows
+// exactly one build_instance span under its batch_group span — while a
+// fully cached resubmission builds nothing.
+func TestBatchPrepareMixed(t *testing.T) {
+	earlier := JobSpec{Family: FamilySinkless, N: 24, Algorithm: AlgMTPar, Seed: 31}
+	dup := JobSpec{Family: FamilySinkless, N: 20, Algorithm: AlgMTPar, Seed: 32}
+	bad := JobSpec{Family: FamilySinkless, N: 15, Degree: 3, Algorithm: AlgMTPar, Seed: 33} // n·degree odd
+	subs := []JobSpec{
+		earlier,
+		dup,
+		{Family: FamilySinkless, N: 16, Degree: 3, Algorithm: AlgSeq, Seed: 35},
+		bad,
+		{Family: FamilySinkless, N: 12, Algorithm: AlgDist, Seed: 34},
+		dup,
+		{Family: FamilyHyper, N: 12, Algorithm: AlgMTPar, Seed: 37},
+		bad,
+		{Family: FamilySinkless, N: 20, Algorithm: AlgSeq, Seed: 36},
+	}
+	isBad := func(i int) bool { return i == 3 || i == 7 }
+
+	ref := realService(t, obs.NewRegistry(), 0)
+	solo := make([]*Summary, len(subs))
+	wantEvents, wantVars := 0, 0
+	for i, sub := range subs {
+		if isBad(i) {
+			continue
+		}
+		solo[i] = runJob(t, ref, sub)
+		wantEvents += solo[i].NumEvents
+		wantVars += solo[i].NumVars
+	}
+	// Every member whose build succeeds counts once, cache hits and
+	// in-batch duplicates included; pinned so the sum cannot drift.
+	if wantEvents != 124 || wantVars != 132 {
+		t.Fatalf("solo sizes sum to %d events, %d vars; want 124, 132", wantEvents, wantVars)
+	}
+
+	for _, workers := range []int{1, 2} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			var sink traceBuf
+			rec := obs.NewRecorder(&sink)
+			s := New(Config{QueueCap: 16, MaxInFlight: 2, Metrics: obs.NewRegistry(), CacheSize: 32, Trace: rec})
+			t.Cleanup(func() { s.Shutdown(context.Background()) })
+
+			warm := earlier
+			warm.Cache = true
+			runJob(t, s, warm)
+
+			js := batchOf(true, subs...)
+			js.Workers = workers
+			j, err := s.Submit(js)
+			if err != nil {
+				t.Fatal(err)
+			}
+			waitState(t, j, StateDone)
+			sum := j.View().Result
+
+			for i, is := range sum.Instances {
+				if isBad(i) {
+					if !strings.HasPrefix(is.Err, "building instance: ") {
+						t.Errorf("instance %d: err = %q, want a building instance error", i+1, is.Err)
+					}
+					continue
+				}
+				want := solo[i]
+				if is.Err != "" {
+					t.Fatalf("instance %d failed: %s", i+1, is.Err)
+				}
+				if is.Satisfied != want.Satisfied || is.ViolatedEvents != want.ViolatedEvents ||
+					is.Rounds != want.Rounds || is.Resamplings != want.Resamplings || is.VarsFixed != want.VarsFixed {
+					t.Errorf("instance %d diverges from solo:\nbatch: %+v\nsolo:  %+v", i+1, is, want)
+				}
+				if wantHit := i == 0 || i == 5; is.CacheHit != wantHit {
+					t.Errorf("instance %d: cache_hit = %v, want %v", i+1, is.CacheHit, wantHit)
+				}
+			}
+			if a, b := sum.Instances[3].Err, sum.Instances[7].Err; a != b {
+				t.Errorf("the two copies of the bad spec report different errors: %q vs %q", a, b)
+			}
+			if sum.NumEvents != wantEvents || sum.NumVars != wantVars || sum.Satisfied {
+				t.Errorf("aggregate = %d events, %d vars, satisfied %v; want %d, %d, false",
+					sum.NumEvents, sum.NumVars, sum.Satisfied, wantEvents, wantVars)
+			}
+
+			// A resubmission without the bad spec is served wholly from
+			// the cache.
+			var good []JobSpec
+			for i, sub := range subs {
+				if !isBad(i) {
+					good = append(good, sub)
+				}
+			}
+			rj, err := s.Submit(batchOf(true, good...))
+			if err != nil {
+				t.Fatal(err)
+			}
+			waitState(t, rj, StateDone)
+			for _, is := range rj.View().Result.Instances {
+				if !is.CacheHit {
+					t.Errorf("resubmitted instance %d missed the cache", is.Index)
+				}
+			}
+
+			if err := rec.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			groups := map[string]string{} // span id → phase
+			builds := map[string]int{}    // parent span id → build_instance spans
+			resubSpans := 0
+			for _, e := range sink.events(t) {
+				if e.Kind != "span" {
+					continue
+				}
+				switch {
+				case e.Trace == rj.TraceID && (e.Phase == "build_instance" || strings.HasPrefix(e.Phase, "batch_group:")):
+					resubSpans++
+				case e.Trace != j.TraceID:
+				case strings.HasPrefix(e.Phase, "batch_group:"):
+					groups[e.Span] = e.Phase
+				case e.Phase == "build_instance":
+					builds[e.Parent]++
+				}
+			}
+			if len(groups) != 3 {
+				t.Errorf("batch_group spans = %v, want mtpar, seq and dist", groups)
+			}
+			for id, phase := range groups {
+				if builds[id] != 1 {
+					t.Errorf("%s has %d build_instance spans, want 1", phase, builds[id])
+				}
+				delete(builds, id)
+			}
+			if len(builds) != 0 {
+				t.Errorf("build_instance spans outside any batch_group: %v", builds)
+			}
+			if resubSpans != 0 {
+				t.Errorf("fully cached resubmission emitted %d build/group spans, want 0", resubSpans)
+			}
+		})
 	}
 }

@@ -3,37 +3,32 @@ package service
 import (
 	"container/list"
 	"context"
-	"encoding/json"
 	"math"
 	"sort"
 	"sync"
 
-	"repro/internal/batch"
-	"repro/internal/model"
 	"repro/internal/obs"
 	"repro/internal/prng"
 )
 
-// cacheKey derives the result-cache key of a normalized spec over its built
-// instance. It folds together everything that can influence the Summary:
-// the instance-determining spec fields (family, size, generation parameters
-// and — for family "inline" — the raw instance bytes), the canonical
-// instance hash on top of them, the algorithm, the seed driving the
-// generators, resamplers and LOCAL identifiers, and the termination budgets.
-// The WL hash alone is NOT sufficient as an instance identity: it is
-// complete only up to WL distinguishability, and mtseq/seq results depend
-// on event index order, which relabeling changes — so WL-indistinguishable
-// but distinct instances (e.g. two relabeled inline submissions) must not
-// share an entry. Folding the generation parameters makes the key exact
-// (the builders are deterministic functions of them) while the WL hash
-// still collapses provably-identical builds that differ only in spec
-// encoding. Deliberately EXCLUDED: Workers (the engine determinism contract
-// makes results identical for every worker count, so jobs differing only in
+// cacheKey derives the result-cache key of a normalized spec from the spec
+// alone. It folds together everything that can influence the Summary: the
+// instance-determining fields (family, size, generation parameters, the
+// seed driving the generators, and — for family "inline" — the raw
+// instance bytes), the algorithm, the seed's other uses (resamplers, LOCAL
+// identifiers) and the termination budgets. The builders are deterministic
+// functions of those fields, so equal keys mean equal instances and no
+// instance is ever built to compute a key: a warm hit costs one fold and
+// one map lookup. Two specs share an entry only when they are identical in
+// these fields; two relabelings of one inline instance stay apart, which
+// they must, because mtseq and seq results depend on event index order.
+// Deliberately EXCLUDED: Workers (the engine determinism contract makes
+// results identical for every worker count, so jobs differing only in
 // workers share an entry), retry/timeout/checkpoint plumbing (they change
 // how a result is produced, not what it is — failed or partial results are
 // never cached), and the batch/cache fields themselves.
-func cacheKey(js JobSpec, h uint64) uint64 {
-	k := prng.Mix64(h ^ 0xcac4e)
+func cacheKey(js JobSpec) uint64 {
+	k := prng.Mix64(0xcac4e)
 	mixBytes := func(b []byte) {
 		k = prng.Mix64(k ^ uint64(len(b)))
 		for _, c := range b {
@@ -64,71 +59,6 @@ func (s *Service) cacheable(js JobSpec) bool {
 	}
 	plan := s.cfg.Fault.Merge(js.faultPlan())
 	return plan.PanicRate == 0 && plan.DropRate == 0 && plan.CrashRate == 0
-}
-
-// specIdent is the memoization identity of a normalized spec: its JSON
-// encoding. Two specs with the same identity build the same instance and
-// therefore share the same cache key, so the key computation (instance
-// build + canonical hash) only ever runs once per distinct spec.
-func specIdent(js JobSpec) string {
-	b, err := json.Marshal(js)
-	if err != nil {
-		return "" // unmemoizable; the caller computes the key directly
-	}
-	return string(b)
-}
-
-// keyMemo is the bounded spec-identity → cache-key memo. The mapping is a
-// pure function of the spec, so entries never invalidate; when the memo
-// fills up it is simply reset.
-type keyMemo struct {
-	mu  sync.Mutex
-	cap int
-	m   map[string]uint64
-}
-
-func newKeyMemo(capacity int) *keyMemo {
-	return &keyMemo{cap: capacity, m: make(map[string]uint64, capacity)}
-}
-
-func (k *keyMemo) get(id string) (uint64, bool) {
-	k.mu.Lock()
-	defer k.mu.Unlock()
-	key, ok := k.m[id]
-	return key, ok
-}
-
-func (k *keyMemo) put(id string, key uint64) {
-	k.mu.Lock()
-	defer k.mu.Unlock()
-	if len(k.m) >= k.cap {
-		k.m = make(map[string]uint64, k.cap)
-	}
-	k.m[id] = key
-}
-
-// jobKeyInst resolves the spec's cache key. On a memo hit the key comes
-// straight from the spec-identity memo and no instance is built (inst is
-// nil) — this is what makes a warm cache hit orders of magnitude cheaper
-// than a solve. On a miss the instance is built and canonically hashed;
-// the built instance is returned so callers that need it anyway (the batch
-// packer) do not build twice.
-func (s *Service) jobKeyInst(js JobSpec) (key uint64, inst *model.Instance, err error) {
-	id := specIdent(js)
-	if id != "" {
-		if key, ok := s.keys.get(id); ok {
-			return key, nil, nil
-		}
-	}
-	inst, err = buildInstance(js)
-	if err != nil {
-		return 0, nil, err
-	}
-	key = cacheKey(js, batch.Hash(inst))
-	if id != "" {
-		s.keys.put(id, key)
-	}
-	return key, inst, nil
 }
 
 // resultCache is an LRU map from cache keys to completed job Summaries.
@@ -367,10 +297,7 @@ func (f *flightGroup) wait(ctx context.Context, fl *flight) error {
 // without re-solving, and a completed solve is written through to the home
 // node so later jobs find it wherever they land.
 func (s *Service) runCached(ctx context.Context, js JobSpec, att Attempt, emit func(Event), run Runner) (*Summary, error) {
-	key, _, err := s.jobKeyInst(js)
-	if err != nil {
-		return nil, err
-	}
+	key := cacheKey(js)
 	var fl *flight
 	for {
 		if sum, ok := s.cache.get(key); ok {

@@ -285,18 +285,16 @@ func TestBatchPathGoroutineLeak(t *testing.T) {
 }
 
 // TestCacheInlineRelabeledDistinct: two relabeled isomorphic inline
-// instances are WL-indistinguishable, so the canonical hash alone cannot
-// tell them apart — but mtseq/seq results depend on event index order, so
-// serving one instance's Summary for the other would be wrong. The cache
-// key folds the raw inline bytes (and the generation parameters) on top of
-// the WL hash, keeping the two apart while identical resubmissions still
-// collapse.
+// instances are WL-indistinguishable, so a canonical hash cannot tell them
+// apart — but mtseq/seq results depend on event index order, so serving
+// one instance's Summary for the other would be wrong. The cache key folds
+// the raw inline bytes, keeping the two apart while identical
+// resubmissions still collapse.
 func TestCacheInlineRelabeledDistinct(t *testing.T) {
 	reg := obs.NewRegistry()
 	s := realService(t, reg, 8)
 
-	instA := []byte(`{"version":1,"variables":[{"probs":[0.5,0.5]},{"probs":[0.5,0.5]},{"probs":[0.5,0.5]}],"events":[{"kind":"allEqual","scope":[0,1]},{"kind":"allEqual","scope":[1,2]}]}`)
-	instB := []byte(`{"version":1,"variables":[{"probs":[0.5,0.5]},{"probs":[0.5,0.5]},{"probs":[0.5,0.5]}],"events":[{"kind":"allEqual","scope":[2,1]},{"kind":"allEqual","scope":[1,0]}]}`)
+	instA, instB := inlinePathA, inlinePathB
 	mk := func(raw []byte) JobSpec {
 		return JobSpec{Family: FamilyInline, Instance: raw, Algorithm: AlgMTSeq, Cache: true}
 	}
@@ -322,7 +320,7 @@ func TestCacheInlineRelabeledDistinct(t *testing.T) {
 	if batch.Hash(ia) != batch.Hash(ib) {
 		t.Fatal("test instances are WL-distinguishable; use a relabeled isomorphic pair")
 	}
-	if cacheKey(na, batch.Hash(ia)) == cacheKey(nb, batch.Hash(ib)) {
+	if cacheKey(na) == cacheKey(nb) {
 		t.Fatal("distinct inline instances share a cache key")
 	}
 

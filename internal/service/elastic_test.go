@@ -107,10 +107,7 @@ func TestJoinWarmHandoff(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		key, _, err := a.svc.jobKeyInst(js)
-		if err != nil {
-			t.Fatal(err)
-		}
+		key := cacheKey(js)
 		if ring.Owner(key) == "c" {
 			owned = append(owned, key)
 		}
@@ -136,19 +133,27 @@ func TestJoinWarmHandoff(t *testing.T) {
 	if warm*10 < len(owned)*9 {
 		t.Fatalf("joiner warm on %d of %d owned entries, want >= 90%%", warm, len(owned))
 	}
-	if got := c.reg.Counter("peer_handoff_entries_received_total").Value(); got < int64(warm) {
+	// The joiner counts a chunk after storing it and a donor after its POST
+	// returns, so an entry can be visible before either count: wait for both.
+	received := func() int64 { return c.reg.Counter("peer_handoff_entries_received_total").Value() }
+	sent := func() int64 {
+		return a.reg.Counter("peer_handoff_entries_sent_total").Value() +
+			b.reg.Counter("peer_handoff_entries_sent_total").Value()
+	}
+	for (received() < int64(warm) || sent() < int64(warm)) && time.Now().Before(deadline) {
+		time.Sleep(5 * time.Millisecond)
+	}
+	if got := received(); got < int64(warm) {
 		t.Errorf("peer_handoff_entries_received_total = %d on joiner, want >= %d", got, warm)
 	}
-	sent := a.reg.Counter("peer_handoff_entries_sent_total").Value() +
-		b.reg.Counter("peer_handoff_entries_sent_total").Value()
-	if sent < int64(warm) {
-		t.Errorf("donors sent %d handoff entries, want >= %d", sent, warm)
+	if got := sent(); got < int64(warm) {
+		t.Errorf("donors sent %d handoff entries, want >= %d", got, warm)
 	}
 
 	// A warm entry serves as a cache hit on the joiner — no solve.
 	for seed := uint64(1); seed <= seeds; seed++ {
 		js, _ := cacheSpec(seed).withDefaults()
-		key, _, _ := a.svc.jobKeyInst(js)
+		key := cacheKey(js)
 		if ring.Owner(key) != "c" {
 			continue
 		}
@@ -228,6 +233,11 @@ func TestHotReplicationToSuccessor(t *testing.T) {
 		if time.Now().After(deadline) {
 			t.Fatalf("hot entry %#x never replicated to the successor", key)
 		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	// The owner counts a replica after the successor's PUT returns, so the
+	// entry can land before the count: wait for it.
+	for a.reg.Counter("peer_replicated_total").Value() < 1 && time.Now().Before(deadline) {
 		time.Sleep(5 * time.Millisecond)
 	}
 	if got := a.reg.Counter("peer_replicated_total").Value(); got < 1 {

@@ -76,10 +76,7 @@ func seedOwnedBy(t testing.TB, s *Service, owner string) (uint64, uint64) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		key, _, err := s.jobKeyInst(js)
-		if err != nil {
-			t.Fatal(err)
-		}
+		key := cacheKey(js)
 		if s.peers.owner(key) == owner {
 			return seed, key
 		}

@@ -199,14 +199,12 @@ type Service struct {
 	// backoffRand jitters the retry delays (guarded by mu).
 	backoffRand *prng.Rand
 
-	// cache is the canonical result cache (nil when Config.CacheSize < 0);
-	// flights collapses concurrent identical cache-enabled jobs; keys
-	// memoizes the spec → cache-key computation so repeated specs skip
-	// the instance build + canonical hash. runOpts is the RunOptions
-	// handed to RunSpec for default and batch runs.
+	// cache is the result cache keyed by cacheKey, a fold of the spec
+	// (nil when Config.CacheSize < 0); flights collapses concurrent
+	// identical cache-enabled jobs. runOpts is the RunOptions handed to
+	// RunSpec for default and batch runs.
 	cache   *resultCache
 	flights *flightGroup
-	keys    *keyMemo
 	runOpts RunOptions
 
 	// peers is the cluster peer-cache layer (nil when standalone). tuning,
@@ -291,7 +289,6 @@ func New(cfg Config) *Service {
 	if cfg.CacheSize > 0 {
 		s.cache = newResultCache(cfg.CacheSize, cfg.Metrics)
 		s.flights = newFlightGroup(cfg.Metrics)
-		s.keys = newKeyMemo(4 * cfg.CacheSize)
 	}
 	if cfg.Cluster != nil {
 		if err := cfg.Cluster.validate(); err != nil {

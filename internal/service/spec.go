@@ -151,10 +151,10 @@ type JobSpec struct {
 	// jobs to one node.
 	PlacementKey uint64 `json:"placement_key,omitempty"`
 
-	// Cache opts this job into the service's canonical result cache: a
-	// completed Summary is stored under the instance's canonical hash
-	// (combined with algorithm, seed and budgets) and an identical later
-	// job is served the bit-identical cached result instead of re-solving.
+	// Cache opts this job into the service's result cache: a completed
+	// Summary is stored under a key folded from the spec's instance,
+	// algorithm, seed and budget fields, and an identical later job is
+	// served the bit-identical cached result instead of re-solving.
 	// Concurrent identical cache-enabled jobs are collapsed single-flight.
 	// Jobs with fault injection are never cached.
 	Cache bool `json:"cache,omitempty"`
@@ -324,14 +324,13 @@ func checkpointTag(alg string) (string, bool) {
 	return "", false
 }
 
-// PlacementKeyFor returns the consistent-hash placement key of a spec: the
-// same spec-field fold the result cache uses, but WITHOUT the canonical
-// instance hash — a router must place jobs in O(spec), never build the
-// instance. Identical specs therefore always share a key (and a home
-// node), while WL-isomorphic-but-differently-encoded submissions may land
-// elsewhere and reach the warm entry through the peer cache-fill protocol
-// instead. A non-zero JobSpec.PlacementKey wins; batch jobs fold their
-// instances' keys so a resubmitted batch is placed with its cache entries.
+// PlacementKeyFor returns the consistent-hash placement key of a spec. For
+// a single job it is the job's cache key, so a router places the job on the
+// node that owns its cache entry, in O(spec) and without building the
+// instance. A non-zero JobSpec.PlacementKey wins. A batch job is placed as
+// one unit under a fold of its instances' keys, so a resubmitted batch lands
+// on the node that ran it before, while each instance is cached there under
+// its own key.
 func PlacementKeyFor(js JobSpec) (uint64, error) {
 	js, err := js.withDefaults()
 	if err != nil {
@@ -343,11 +342,11 @@ func PlacementKeyFor(js JobSpec) (uint64, error) {
 	if len(js.Batch) > 0 {
 		k := prng.Mix64(uint64(len(js.Batch)) ^ 0xba7c4)
 		for _, sub := range js.Batch {
-			k = prng.Mix64(k ^ cacheKey(sub, 0))
+			k = prng.Mix64(k ^ cacheKey(sub))
 		}
 		return k, nil
 	}
-	return cacheKey(js, 0), nil
+	return cacheKey(js), nil
 }
 
 // assignmentHash folds a complete final assignment into one uint64 — the

@@ -3,7 +3,7 @@
 # with real binaries. Asserts the PR-8 acceptance contract:
 #
 #   1. placement balance: 30 distinct jobs spread within 2x of the mean;
-#   2. cache locality: an isomorphic resubmission lands on the same node
+#   2. cache locality: an identical resubmission lands on the same node
 #      and is served from its cache without re-solving;
 #   3. fault tolerance: with 50 chaos jobs in flight and one long
 #      checkpointing job mid-run, SIGKILL the long job's node — zero jobs
@@ -133,9 +133,9 @@ C2=$(submit "$CSPEC"); follow "$C2" > /dev/null
 V2=$(view "$C2")
 N2=$(field "$V2" node)
 test -n "$N1" && test "$N1" = "$N2" \
-  || { echo "FAIL: isomorphic resubmission moved nodes ($N1 -> $N2)"; exit 1; }
+  || { echo "FAIL: identical resubmission moved nodes ($N1 -> $N2)"; exit 1; }
 echo "$V2" | grep -q '"cache_hit": *true' \
-  || { echo "FAIL: isomorphic resubmission on $N2 re-solved instead of hitting the cache"; exit 1; }
+  || { echo "FAIL: identical resubmission on $N2 re-solved instead of hitting the cache"; exit 1; }
 echo "resubmission stayed on node $N1 and hit its cache"
 
 echo "== phase 3: uninterrupted baseline of the long checkpointing job =="
