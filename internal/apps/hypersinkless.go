@@ -77,24 +77,11 @@ func NewHyperSinklessUniform(h *hypergraph.Hypergraph, k int, slack float64) (*H
 		return nil, fmt.Errorf("apps: building hyperedge distribution: %w", err)
 	}
 
-	b := model.NewBuilder()
-	edgeVar := make([]int, h.M())
-	for id := 0; id < h.M(); id++ {
-		edgeVar[id] = b.AddVariable(d, fmt.Sprintf("hedge%v", h.Edge(id)))
+	edgeDist := make([]*dist.Distribution, h.M())
+	for id := range edgeDist {
+		edgeDist[id] = d
 	}
-	for v := 0; v < h.N(); v++ {
-		ids := h.Incident(v)
-		scope := make([]int, len(ids))
-		badSets := make([][]int, len(ids))
-		dists := make([]*dist.Distribution, len(ids))
-		for i, id := range ids {
-			scope[i] = edgeVar[id]
-			dists[i] = d
-			badSets[i] = []int{memberIndex(h.Edge(id), v)}
-		}
-		model.AddConjunctionEvent(b, scope, badSets, dists, fmt.Sprintf("hypersink@%d", v))
-	}
-	inst, err := b.Build()
+	inst, edgeVar, err := hyperSinklessInstance(h, edgeDist)
 	if err != nil {
 		return nil, fmt.Errorf("apps: building hyper-sinkless instance: %w", err)
 	}
@@ -121,8 +108,6 @@ func NewHyperSinklessMixed(h *hypergraph.Hypergraph, maxRank int, slack float64)
 			return nil, fmt.Errorf("apps: node %d has degree 0", v)
 		}
 	}
-	b := model.NewBuilder()
-	edgeVar := make([]int, h.M())
 	edgeDist := make([]*dist.Distribution, h.M())
 	for id := 0; id < h.M(); id++ {
 		k := len(h.Edge(id))
@@ -136,25 +121,57 @@ func NewHyperSinklessMixed(h *hypergraph.Hypergraph, maxRank int, slack float64)
 			return nil, fmt.Errorf("apps: building hyperedge distribution: %w", err)
 		}
 		edgeDist[id] = d
-		edgeVar[id] = b.AddVariable(d, fmt.Sprintf("hedge%v", h.Edge(id)))
 	}
-	for v := 0; v < h.N(); v++ {
-		ids := h.Incident(v)
-		scope := make([]int, len(ids))
-		badSets := make([][]int, len(ids))
-		dists := make([]*dist.Distribution, len(ids))
-		for i, id := range ids {
-			scope[i] = edgeVar[id]
-			dists[i] = edgeDist[id]
-			badSets[i] = []int{memberIndex(h.Edge(id), v)}
-		}
-		model.AddConjunctionEvent(b, scope, badSets, dists, fmt.Sprintf("hypersink@%d", v))
-	}
-	inst, err := b.Build()
+	inst, edgeVar, err := hyperSinklessInstance(h, edgeDist)
 	if err != nil {
 		return nil, fmt.Errorf("apps: building mixed hyper-sinkless instance: %w", err)
 	}
 	return &HyperSinkless{Instance: inst, Hyper: h, EdgeVar: edgeVar, Slack: slack, Rank: -1}, nil
+}
+
+// hyperSinklessInstance builds the relaxed sinkless-orientation events on
+// h: one variable "hedge[members]" per hyperedge, distributed as
+// edgeDist[id] (value i heads the hyperedge at its i-th member), and at
+// every node v the conjunction "hypersink@v" that every incident hyperedge
+// has head v. It returns the instance and the hyperedge-to-variable map.
+func hyperSinklessInstance(h *hypergraph.Hypergraph, edgeDist []*dist.Distribution) (*model.Instance, []int, error) {
+	names := newNameTable(h.M() + h.N())
+	for id := 0; id < h.M(); id++ {
+		names.addList("hedge", h.Edge(id))
+	}
+	for v := 0; v < h.N(); v++ {
+		names.add("hypersink@", v)
+	}
+	names.seal()
+
+	b := model.NewBuilder()
+	edgeVar := make([]int, h.M())
+	for id := range edgeVar {
+		edgeVar[id] = b.AddVariable(edgeDist[id], names.name(id))
+	}
+	// heads[i] is the bad set {i}, shared by every event whose hyperedge
+	// has v as its i-th member.
+	heads := make([]int, h.Rank())
+	for i := range heads {
+		heads[i] = i
+	}
+	// Per-node scratch, reused: AddConjunctionEvent copies what it keeps.
+	deg := h.MaxDegree()
+	scope := make([]int, 0, deg)
+	badSets := make([][]int, 0, deg)
+	dists := make([]*dist.Distribution, 0, deg)
+	for v := 0; v < h.N(); v++ {
+		scope, badSets, dists = scope[:0], badSets[:0], dists[:0]
+		h.ForEachIncident(v, func(id int) {
+			i := memberIndex(h.Edge(id), v)
+			scope = append(scope, edgeVar[id])
+			dists = append(dists, edgeDist[id])
+			badSets = append(badSets, heads[i:i+1:i+1])
+		})
+		model.AddConjunctionEvent(b, scope, badSets, dists, names.name(h.M()+v))
+	}
+	inst, err := b.Build()
+	return inst, edgeVar, err
 }
 
 func memberIndex(members []int, v int) int {

@@ -71,33 +71,58 @@ func NewSinkless(g *graph.Graph, slack float64) (*Sinkless, error) {
 		}
 	}
 
-	b := model.NewBuilder()
-	edgeVar := make([]int, g.M())
-	for id := 0; id < g.M(); id++ {
-		e := g.Edge(id)
-		edgeVar[id] = b.AddVariable(d, fmt.Sprintf("edge{%d,%d}", e.U, e.V))
+	edgeDist := make([]*dist.Distribution, g.M())
+	for id := range edgeDist {
+		edgeDist[id] = d
 	}
-	for v := 0; v < g.N(); v++ {
-		ids := g.IncidentEdges(v)
-		scope := make([]int, len(ids))
-		badSets := make([][]int, len(ids))
-		dists := make([]*dist.Distribution, len(ids))
-		for i, id := range ids {
-			scope[i] = edgeVar[id]
-			dists[i] = d
-			if g.Edge(id).U == v {
-				badSets[i] = []int{ToU}
-			} else {
-				badSets[i] = []int{ToV}
-			}
-		}
-		model.AddConjunctionEvent(b, scope, badSets, dists, fmt.Sprintf("sink@%d", v))
-	}
-	inst, err := b.Build()
+	inst, edgeVar, err := sinklessInstance(g, edgeDist)
 	if err != nil {
 		return nil, fmt.Errorf("apps: building sinkless instance: %w", err)
 	}
 	return &Sinkless{Instance: inst, Graph: g, EdgeVar: edgeVar, Slack: slack}, nil
+}
+
+// sinklessInstance builds the sinkless-orientation events on g: one
+// variable "edge{u,v}" per edge, distributed as edgeDist[id], and at every
+// node v the conjunction "sink@v" that every incident edge points at v.
+// It returns the instance and the edge-to-variable map.
+func sinklessInstance(g *graph.Graph, edgeDist []*dist.Distribution) (*model.Instance, []int, error) {
+	names := newNameTable(g.M() + g.N())
+	for id := 0; id < g.M(); id++ {
+		e := g.Edge(id)
+		names.addPair("edge", e.U, e.V)
+	}
+	for v := 0; v < g.N(); v++ {
+		names.add("sink@", v)
+	}
+	names.seal()
+
+	b := model.NewBuilder()
+	edgeVar := make([]int, g.M())
+	for id := range edgeVar {
+		edgeVar[id] = b.AddVariable(edgeDist[id], names.name(id))
+	}
+	// Per-node scratch, reused: AddConjunctionEvent copies what it keeps.
+	deg := g.MaxDegree()
+	scope := make([]int, 0, deg)
+	badSets := make([][]int, 0, deg)
+	dists := make([]*dist.Distribution, 0, deg)
+	toU, toV := []int{ToU}, []int{ToV}
+	for v := 0; v < g.N(); v++ {
+		scope, badSets, dists = scope[:0], badSets[:0], dists[:0]
+		g.ForEachNeighbor(v, func(u, id int) {
+			scope = append(scope, edgeVar[id])
+			dists = append(dists, edgeDist[id])
+			if v < u { // v is the edge's lower endpoint, Edge.U
+				badSets = append(badSets, toU)
+			} else {
+				badSets = append(badSets, toV)
+			}
+		})
+		model.AddConjunctionEvent(b, scope, badSets, dists, names.name(g.M()+v))
+	}
+	inst, err := b.Build()
+	return inst, edgeVar, err
 }
 
 // NewSinklessWithMargin builds a relaxed sinkless-orientation instance on a
@@ -149,8 +174,6 @@ func NewSinklessBiased(g *graph.Graph, alpha float64, alphaHead []int) (*Sinkles
 	if len(alphaHead) != g.M() {
 		return nil, fmt.Errorf("apps: %d alpha heads for %d edges", len(alphaHead), g.M())
 	}
-	b := model.NewBuilder()
-	edgeVar := make([]int, g.M())
 	edgeDist := make([]*dist.Distribution, g.M())
 	for id := 0; id < g.M(); id++ {
 		e := g.Edge(id)
@@ -170,25 +193,8 @@ func NewSinklessBiased(g *graph.Graph, alpha float64, alphaHead []int) (*Sinkles
 			return nil, fmt.Errorf("apps: building biased edge distribution: %w", err)
 		}
 		edgeDist[id] = d
-		edgeVar[id] = b.AddVariable(d, fmt.Sprintf("edge{%d,%d}", e.U, e.V))
 	}
-	for v := 0; v < g.N(); v++ {
-		ids := g.IncidentEdges(v)
-		scope := make([]int, len(ids))
-		badSets := make([][]int, len(ids))
-		dists := make([]*dist.Distribution, len(ids))
-		for i, id := range ids {
-			scope[i] = edgeVar[id]
-			dists[i] = edgeDist[id]
-			if g.Edge(id).U == v {
-				badSets[i] = []int{ToU}
-			} else {
-				badSets[i] = []int{ToV}
-			}
-		}
-		model.AddConjunctionEvent(b, scope, badSets, dists, fmt.Sprintf("sink@%d", v))
-	}
-	inst, err := b.Build()
+	inst, edgeVar, err := sinklessInstance(g, edgeDist)
 	if err != nil {
 		return nil, fmt.Errorf("apps: building biased sinkless instance: %w", err)
 	}

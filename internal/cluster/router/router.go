@@ -362,7 +362,14 @@ func (r *Router) Submit(js service.JobSpec) (*routedJob, error) {
 	job.node = node
 	job.nodeJobID = view.ID
 	job.trace = view.TraceID
+	// The routed job turns terminal only when the node's "end" event is
+	// relayed (see append). A node view that is terminal already, as on a
+	// warm cache hit, would otherwise show stream readers a finished job
+	// with no events, and they would return an empty stream.
 	job.state = view.State
+	if job.state.Terminal() {
+		job.state = service.StateRunning
+	}
 	job.mu.Unlock()
 
 	r.wg.Add(1)
@@ -464,9 +471,15 @@ func (r *Router) place(job *routedJob, skip string) (string, *service.View, *sub
 }
 
 // append adds one relayed event to the job's buffer with a continuous
-// router-scope Seq and wakes stream readers.
+// router-scope Seq and wakes stream readers. An "end" event also records
+// the job's terminal state, under the same lock, so no reader sees the
+// terminal state before the event.
 func (j *routedJob) append(e service.Event) {
 	j.mu.Lock()
+	if e.Kind == "end" {
+		j.state = e.State
+		j.errMsg = e.Err
+	}
 	e.Seq = len(j.events)
 	j.events = append(j.events, e)
 	close(j.more)
@@ -508,8 +521,6 @@ func (j *routedJob) view() service.View {
 // event (migration budget exhausted, no surviving node).
 func (r *Router) finalize(job *routedJob, state service.State, msg string) {
 	job.mu.Lock()
-	job.state = state
-	job.errMsg = msg
 	trace := job.trace
 	job.mu.Unlock()
 	job.append(service.Event{Kind: "end", State: state, Err: msg, Trace: trace})
@@ -675,10 +686,6 @@ func (r *Router) streamOnce(job *routedJob) (terminal bool, err error) {
 				return false, nil
 			}
 			r.fetchResult(job, node, nodeID)
-			job.mu.Lock()
-			job.state = e.State
-			job.errMsg = e.Err
-			job.mu.Unlock()
 			e.Node = node
 			r.m.relayed.Inc()
 			job.append(e)

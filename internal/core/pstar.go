@@ -70,11 +70,19 @@ func (p *PStar) Set(edgeID, node int, v float64) {
 // EventBound returns ∏_{e ∋ v} φ_e^v, the accumulated increase budget of the
 // event at node v. The final guarantee of the fixers is
 // Pr[E_v] · EventBound(v) ≤ Pr[E_v] · 2^d < 1.
+//
+// It walks v's adjacency in place, in ascending neighbour order, without
+// allocating: the seq fixer calls it for both events of every fixed
+// variable.
 func (p *PStar) EventBound(v int) float64 {
 	prod := 1.0
-	for _, id := range p.g.IncidentEdges(v) {
-		prod *= p.Value(id, v)
-	}
+	p.g.ForEachNeighbor(v, func(u, id int) {
+		if v < u { // v is the edge's lower endpoint, Edge.U
+			prod *= p.phi[id][0]
+		} else {
+			prod *= p.phi[id][1]
+		}
+	})
 	return prod
 }
 

@@ -7,6 +7,7 @@ import (
 	"repro/internal/dist"
 	"repro/internal/graph"
 	"repro/internal/model"
+	"repro/internal/prng"
 )
 
 func TestPStarInitialState(t *testing.T) {
@@ -25,6 +26,36 @@ func TestPStarInitialState(t *testing.T) {
 		if ps.EventBound(v) != 1 {
 			t.Fatalf("initial EventBound(%d) = %v", v, ps.EventBound(v))
 		}
+	}
+}
+
+// TestEventBoundInPlace pins EventBound to the product of Value over
+// IncidentEdges in ascending-neighbour order, bit for bit, and checks that
+// it allocates nothing.
+func TestEventBoundInPlace(t *testing.T) {
+	r := prng.New(3)
+	g, err := graph.RandomRegular(40, 3, r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ps := NewPStar(g)
+	for id := 0; id < g.M(); id++ {
+		e := g.Edge(id)
+		a := 2 * r.Float64()
+		ps.Set(id, e.U, a)
+		ps.Set(id, e.V, (2-a)*r.Float64())
+	}
+	for v := 0; v < g.N(); v++ {
+		want := 1.0
+		for _, id := range g.IncidentEdges(v) {
+			want *= ps.Value(id, v)
+		}
+		if got := ps.EventBound(v); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("EventBound(%d) = %v, want %v", v, got, want)
+		}
+	}
+	if allocs := testing.AllocsPerRun(100, func() { ps.EventBound(7) }); allocs != 0 {
+		t.Fatalf("EventBound allocates %v times per call", allocs)
 	}
 }
 

@@ -12,6 +12,7 @@ func Cycle(n int) *Graph {
 		panic(fmt.Sprintf("graph: Cycle needs n >= 3, got %d", n))
 	}
 	b := NewBuilder(n)
+	b.Grow(n)
 	for i := 0; i < n; i++ {
 		mustAdd(b, i, (i+1)%n)
 	}
@@ -176,14 +177,13 @@ func RandomRegular(n, d int, r *prng.Rand) (*Graph, error) {
 		// plain rejection has success probability ~e^(-d²/4) and stalls
 		// already at d = 6).
 		b := NewBuilder(n)
+		b.Grow(n * d / 2)
 		var leftover [][2]int
 		for i := 0; i < len(stubs); i += 2 {
 			u, v := stubs[i], stubs[i+1]
-			if u == v || b.HasEdge(u, v) {
+			if u == v || !mustAddIfAbsent(b, u, v) {
 				leftover = append(leftover, [2]int{u, v})
-				continue
 			}
-			mustAdd(b, u, v)
 		}
 		if g, ok := repairPairing(b, leftover, n, r); ok {
 			return g, nil

@@ -10,8 +10,10 @@
 package graph
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -55,34 +57,66 @@ func (e Edge) Other(x int) int {
 type Builder struct {
 	n     int
 	edges []Edge
-	seen  map[Edge]bool
+	seen  map[uint64]struct{} // edgeKey of every edge added; created on first add
 }
 
 // NewBuilder returns a builder for a graph on n nodes.
 func NewBuilder(n int) *Builder {
-	return &Builder{n: n, seen: make(map[Edge]bool)}
+	return &Builder{n: n}
+}
+
+// edgeKey packs the undirected edge {u, v} into one map key. Node
+// identifiers are dense slice indices, so they fit in 32 bits.
+func edgeKey(u, v int) uint64 {
+	if u > v {
+		u, v = v, u
+	}
+	return uint64(u)<<32 | uint64(v)
+}
+
+// Grow reserves room for m more edges. Called before the first edge, it
+// also presizes the edge set, so a generator that knows its edge count
+// adds every edge without rehashing.
+func (b *Builder) Grow(m int) {
+	b.edges = slices.Grow(b.edges, m)
 }
 
 // AddEdge records the undirected edge {u, v}.
 func (b *Builder) AddEdge(u, v int) error {
-	if u == v {
-		return fmt.Errorf("%w: {%d,%d}", ErrSelfLoop, u, v)
-	}
-	if u < 0 || u >= b.n || v < 0 || v >= b.n {
-		return fmt.Errorf("%w: {%d,%d} with n=%d", ErrNodeRange, u, v, b.n)
-	}
-	e := Edge{U: u, V: v}.normalize()
-	if b.seen[e] {
+	added, err := b.AddEdgeIfAbsent(u, v)
+	if err == nil && !added {
 		return fmt.Errorf("%w: {%d,%d}", ErrDuplicateEdge, u, v)
 	}
-	b.seen[e] = true
-	b.edges = append(b.edges, e)
-	return nil
+	return err
+}
+
+// AddEdgeIfAbsent records the undirected edge {u, v} unless it was already
+// added, and reports whether it was added. Self-loops and endpoints out of
+// range fail as in AddEdge. It costs one map operation, where HasEdge
+// followed by AddEdge costs two.
+func (b *Builder) AddEdgeIfAbsent(u, v int) (bool, error) {
+	if u == v {
+		return false, fmt.Errorf("%w: {%d,%d}", ErrSelfLoop, u, v)
+	}
+	if u < 0 || u >= b.n || v < 0 || v >= b.n {
+		return false, fmt.Errorf("%w: {%d,%d} with n=%d", ErrNodeRange, u, v, b.n)
+	}
+	if b.seen == nil {
+		b.seen = make(map[uint64]struct{}, cap(b.edges))
+	}
+	size := len(b.seen)
+	b.seen[edgeKey(u, v)] = struct{}{}
+	if len(b.seen) == size {
+		return false, nil
+	}
+	b.edges = append(b.edges, Edge{U: u, V: v}.normalize())
+	return true, nil
 }
 
 // HasEdge reports whether {u,v} was already added.
 func (b *Builder) HasEdge(u, v int) bool {
-	return b.seen[Edge{U: u, V: v}.normalize()]
+	_, ok := b.seen[edgeKey(u, v)]
+	return ok
 }
 
 // removeEdgeAt deletes the edge at index idx from the builder. Only the
@@ -90,28 +124,49 @@ func (b *Builder) HasEdge(u, v int) bool {
 // time, so removal before Build is safe.
 func (b *Builder) removeEdgeAt(idx int) {
 	e := b.edges[idx]
-	delete(b.seen, e)
+	delete(b.seen, edgeKey(e.U, e.V))
 	last := len(b.edges) - 1
 	b.edges[idx] = b.edges[last]
 	b.edges = b.edges[:last]
 }
 
 // Build finalizes the graph. The builder must not be used afterwards.
+//
+// All adjacency lists live in one flat array: node v's list is a
+// capacity-capped sub-slice of it (nil for an isolated node), filled in
+// edge order and then sorted by neighbour, so the order does not depend on
+// insertion order.
 func (b *Builder) Build() *Graph {
 	g := &Graph{
 		n:     b.n,
 		edges: b.edges,
 		adj:   make([][]neighbor, b.n),
 	}
-	for id, e := range b.edges {
-		g.adj[e.U] = append(g.adj[e.U], neighbor{node: e.V, edge: id})
-		g.adj[e.V] = append(g.adj[e.V], neighbor{node: e.U, edge: id})
+	// end[v] counts v's degree shifted by one, becomes the start of v's
+	// range after the prefix sum, and the end of it after the fill.
+	end := make([]int, b.n+1)
+	for _, e := range b.edges {
+		end[e.U+1]++
+		end[e.V+1]++
 	}
-	// Sort adjacency for determinism independent of insertion order.
-	for v := range g.adj {
-		sort.Slice(g.adj[v], func(i, j int) bool {
-			return g.adj[v][i].node < g.adj[v][j].node
-		})
+	for v := 0; v < b.n; v++ {
+		end[v+1] += end[v]
+	}
+	flat := make([]neighbor, 2*len(b.edges))
+	for id, e := range b.edges {
+		flat[end[e.U]] = neighbor{node: e.V, edge: id}
+		end[e.U]++
+		flat[end[e.V]] = neighbor{node: e.U, edge: id}
+		end[e.V]++
+	}
+	start := 0
+	for v := 0; v < b.n; v++ {
+		if end[v] > start {
+			list := flat[start:end[v]:end[v]]
+			slices.SortFunc(list, func(x, y neighbor) int { return cmp.Compare(x.node, y.node) })
+			g.adj[v] = list
+		}
+		start = end[v]
 	}
 	return g
 }
@@ -125,7 +180,7 @@ type neighbor struct {
 type Graph struct {
 	n     int
 	edges []Edge
-	adj   [][]neighbor
+	adj   [][]neighbor // sub-slices of one flat array, sorted by node
 }
 
 // N returns the number of nodes.
@@ -273,14 +328,13 @@ func (g *Graph) Square() *Graph {
 	b := NewBuilder(g.n)
 	for v := 0; v < g.n; v++ {
 		for _, nb := range g.adj[v] {
-			if v < nb.node && !b.HasEdge(v, nb.node) {
-				mustAdd(b, v, nb.node)
+			if v < nb.node {
+				mustAddIfAbsent(b, v, nb.node)
 			}
 			// Distance-2 pairs through v.
 			for _, nb2 := range g.adj[v] {
-				a, c := nb.node, nb2.node
-				if a < c && !b.HasEdge(a, c) {
-					mustAdd(b, a, c)
+				if a, c := nb.node, nb2.node; a < c {
+					mustAddIfAbsent(b, a, c)
 				}
 			}
 		}
@@ -295,16 +349,10 @@ func (g *Graph) Square() *Graph {
 func (g *Graph) LineGraph() *Graph {
 	b := NewBuilder(len(g.edges))
 	for v := 0; v < g.n; v++ {
-		ids := g.IncidentEdges(v)
-		for i := 0; i < len(ids); i++ {
-			for j := i + 1; j < len(ids); j++ {
-				a, c := ids[i], ids[j]
-				if a > c {
-					a, c = c, a
-				}
-				if !b.HasEdge(a, c) {
-					mustAdd(b, a, c)
-				}
+		adj := g.adj[v]
+		for i := 0; i < len(adj); i++ {
+			for j := i + 1; j < len(adj); j++ {
+				mustAddIfAbsent(b, adj[i].edge, adj[j].edge)
 			}
 		}
 	}
@@ -315,6 +363,15 @@ func mustAdd(b *Builder, u, v int) {
 	if err := b.AddEdge(u, v); err != nil {
 		panic(err) // internal invariant: callers pre-check validity
 	}
+}
+
+// mustAddIfAbsent is AddEdgeIfAbsent for pairs known to be valid.
+func mustAddIfAbsent(b *Builder, u, v int) bool {
+	added, err := b.AddEdgeIfAbsent(u, v)
+	if err != nil {
+		panic(err) // internal invariant: callers pre-check validity
+	}
+	return added
 }
 
 // DOT renders the graph in Graphviz DOT format, mainly for debugging and

@@ -2,6 +2,7 @@ package graph
 
 import (
 	"errors"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -9,22 +10,90 @@ import (
 	"repro/internal/prng"
 )
 
-func TestBuilderRejectsBadEdges(t *testing.T) {
-	b := NewBuilder(3)
-	if err := b.AddEdge(1, 1); !errors.Is(err, ErrSelfLoop) {
+// TestAddEdgeIfAbsent checks that a repeated edge is skipped without an
+// error, invalid edges fail with AddEdge's messages, and Grow changes
+// nothing but capacity.
+func TestAddEdgeIfAbsent(t *testing.T) {
+	b := NewBuilder(4)
+	b.Grow(3)
+	for _, tc := range []struct {
+		u, v  int
+		added bool
+	}{{2, 1, true}, {1, 2, false}, {0, 3, true}, {3, 0, false}, {1, 3, true}} {
+		added, err := b.AddEdgeIfAbsent(tc.u, tc.v)
+		if err != nil || added != tc.added {
+			t.Fatalf("AddEdgeIfAbsent(%d, %d) = %v, %v; want %v, nil", tc.u, tc.v, added, err, tc.added)
+		}
+	}
+	if _, err := b.AddEdgeIfAbsent(2, 2); err == nil || err.Error() != "graph: self-loop: {2,2}" {
 		t.Fatalf("self-loop error = %v", err)
 	}
-	if err := b.AddEdge(0, 3); !errors.Is(err, ErrNodeRange) {
+	if _, err := b.AddEdgeIfAbsent(0, 4); err == nil || err.Error() != "graph: node out of range: {0,4} with n=4" {
 		t.Fatalf("range error = %v", err)
 	}
-	if err := b.AddEdge(-1, 0); !errors.Is(err, ErrNodeRange) {
-		t.Fatalf("range error = %v", err)
+	g := b.Build()
+	if got, want := g.Edges(), []Edge{{1, 2}, {0, 3}, {1, 3}}; !slices.Equal(got, want) {
+		t.Fatalf("edges %v, want %v", got, want)
 	}
+	if got := g.IncidentEdges(3); !slices.Equal(got, []int{1, 2}) {
+		t.Fatalf("IncidentEdges(3) = %v, want [1 2]", got)
+	}
+}
+
+// TestAdjacencySortedDense checks the flat adjacency on dense and
+// shuffled inputs: every list ascends by neighbour and pairs each
+// neighbour with the identifier of the connecting edge.
+func TestAdjacencySortedDense(t *testing.T) {
+	rr, err := RandomRegular(60, 7, prng.New(5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, g := range []*Graph{Complete(80), rr, rr.Square(), Cycle(9).LineGraph(), NewBuilder(3).Build()} {
+		degrees := 0
+		for v := 0; v < g.N(); v++ {
+			nb, ids := g.Neighbors(v), g.IncidentEdges(v)
+			if !slices.IsSorted(nb) || len(nb) != g.Degree(v) {
+				t.Fatalf("node %d: neighbours %v not sorted or not of degree %d", v, nb, g.Degree(v))
+			}
+			for i, u := range nb {
+				if e := g.Edge(ids[i]); e.Other(v) != u {
+					t.Fatalf("node %d: edge %d = %v does not join it to %d", v, ids[i], e, u)
+				}
+			}
+			degrees += len(nb)
+		}
+		if degrees != 2*g.M() {
+			t.Fatalf("degrees sum to %d, want 2M = %d", degrees, 2*g.M())
+		}
+	}
+}
+
+// TestBuilderRejectsBadEdges pins each validation error's sentinel and
+// exact message, in the order the checks run: self-loop, then range, then
+// duplicate.
+func TestBuilderRejectsBadEdges(t *testing.T) {
+	b := NewBuilder(3)
 	if err := b.AddEdge(0, 1); err != nil {
 		t.Fatalf("valid edge rejected: %v", err)
 	}
-	if err := b.AddEdge(1, 0); !errors.Is(err, ErrDuplicateEdge) {
-		t.Fatalf("duplicate error = %v", err)
+	for _, tc := range []struct {
+		u, v int
+		is   error
+		want string
+	}{
+		{1, 1, ErrSelfLoop, "graph: self-loop: {1,1}"},
+		{5, 5, ErrSelfLoop, "graph: self-loop: {5,5}"},
+		{0, 3, ErrNodeRange, "graph: node out of range: {0,3} with n=3"},
+		{-1, 0, ErrNodeRange, "graph: node out of range: {-1,0} with n=3"},
+		{1, 0, ErrDuplicateEdge, "graph: duplicate edge: {1,0}"},
+		{0, 1, ErrDuplicateEdge, "graph: duplicate edge: {0,1}"},
+	} {
+		if err := b.AddEdge(tc.u, tc.v); !errors.Is(err, tc.is) || err.Error() != tc.want {
+			t.Errorf("AddEdge(%d, %d) = %v, want %q", tc.u, tc.v, err, tc.want)
+		}
+	}
+	if g := b.Build(); g.M() != 1 {
+		t.Fatalf("rejected edges were kept: M = %d", g.M())
 	}
 }
 

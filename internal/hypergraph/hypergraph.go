@@ -11,6 +11,7 @@ package hypergraph
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -33,8 +34,8 @@ var (
 // variables affecting the same set of events.
 type Hypergraph struct {
 	n        int
-	edges    [][]int // sorted member lists
-	incident [][]int // node -> hyperedge IDs
+	edges    [][]int // sorted member lists, shared read-only
+	incident [][]int // node -> hyperedge IDs: sub-slices of one flat array
 }
 
 // Builder accumulates hyperedges and produces an immutable Hypergraph.
@@ -49,38 +50,74 @@ func NewBuilder(n int) *Builder {
 }
 
 // AddEdge records a hyperedge over the given members (order irrelevant).
+// The builder keeps a copy.
 func (b *Builder) AddEdge(members ...int) error {
+	return b.AddOwnedEdge(append([]int(nil), members...))
+}
+
+// AddOwnedEdge is AddEdge for a member list the caller hands over: the
+// builder keeps the slice itself, sorting it in place unless it is
+// ascending already, and the built hypergraph shares it read-only (see
+// Edge). The caller must not write to it afterwards. The checks and errors
+// are AddEdge's.
+func (b *Builder) AddOwnedEdge(members []int) error {
 	if len(members) == 0 {
 		return ErrEmptyEdge
 	}
-	sorted := make([]int, len(members))
-	copy(sorted, members)
-	sort.Ints(sorted)
-	for i, v := range sorted {
+	if !slices.IsSorted(members) {
+		slices.Sort(members)
+	}
+	for i, v := range members {
 		if v < 0 || v >= b.n {
 			return fmt.Errorf("%w: %d with n=%d", ErrNodeRange, v, b.n)
 		}
-		if i > 0 && sorted[i-1] == v {
+		if i > 0 && members[i-1] == v {
 			return fmt.Errorf("%w: node %d", ErrDuplicateMember, v)
 		}
 	}
-	b.edges = append(b.edges, sorted)
+	b.edges = append(b.edges, members)
 	return nil
 }
 
 // Build finalizes the hypergraph. The builder must not be used afterwards.
 func (b *Builder) Build() *Hypergraph {
-	h := &Hypergraph{
-		n:        b.n,
-		edges:    b.edges,
-		incident: make([][]int, b.n),
-	}
-	for id, members := range b.edges {
+	return &Hypergraph{n: b.n, edges: b.edges, incident: Incidence(b.n, b.edges)}
+}
+
+// Incidence inverts member lists: its i-th list holds, ascending, the
+// indices of the lists that contain i. Over a hypergraph's hyperedges it
+// gives each node's incident hyperedges; over an instance's event scopes,
+// each variable's events. The lists are capacity-capped sub-slices of one
+// array, nil for an i that no list contains. Every member must lie in
+// [0, n).
+func Incidence(n int, lists [][]int) [][]int {
+	// end[v] counts v's lists shifted by one, becomes the start of v's
+	// range after the prefix sum, and the end of it after the fill.
+	end := make([]int, n+1)
+	for _, members := range lists {
 		for _, v := range members {
-			h.incident[v] = append(h.incident[v], id)
+			end[v+1]++
 		}
 	}
-	return h
+	for v := 0; v < n; v++ {
+		end[v+1] += end[v]
+	}
+	flat := make([]int, end[n])
+	for id, members := range lists {
+		for _, v := range members {
+			flat[end[v]] = id
+			end[v]++
+		}
+	}
+	out := make([][]int, n)
+	start := 0
+	for v := 0; v < n; v++ {
+		if end[v] > start {
+			out[v] = flat[start:end[v]:end[v]]
+		}
+		start = end[v]
+	}
+	return out
 }
 
 // N returns the number of nodes.
@@ -90,7 +127,9 @@ func (h *Hypergraph) N() int { return h.n }
 func (h *Hypergraph) M() int { return len(h.edges) }
 
 // Edge returns the sorted member list of hyperedge id. The returned slice is
-// shared; callers must not modify it.
+// shared, read-only: it is the list the builder was given or made (for an
+// instance's variable hypergraph, the variable's Events list itself).
+// Callers must not modify it; EdgeCopy returns one they may.
 func (h *Hypergraph) Edge(id int) []int { return h.edges[id] }
 
 // EdgeCopy returns a fresh copy of the member list of hyperedge id.
@@ -133,6 +172,14 @@ func (h *Hypergraph) Incident(v int) []int {
 	return out
 }
 
+// ForEachIncident calls fn with the identifier of each hyperedge containing
+// v, in insertion order, without allocating.
+func (h *Hypergraph) ForEachIncident(v int, fn func(edgeID int)) {
+	for _, id := range h.incident[v] {
+		fn(id)
+	}
+}
+
 // Contains reports whether hyperedge id contains node v.
 func (h *Hypergraph) Contains(id, v int) bool {
 	members := h.edges[id]
@@ -146,13 +193,16 @@ func (h *Hypergraph) Contains(id, v int) bool {
 // single dependency edge.
 func (h *Hypergraph) DependencyGraph() *graph.Graph {
 	b := graph.NewBuilder(h.n)
+	pairs := 0
+	for _, members := range h.edges {
+		pairs += len(members) * (len(members) - 1) / 2
+	}
+	b.Grow(pairs)
 	for _, members := range h.edges {
 		for i := 0; i < len(members); i++ {
 			for j := i + 1; j < len(members); j++ {
-				if !b.HasEdge(members[i], members[j]) {
-					if err := b.AddEdge(members[i], members[j]); err != nil {
-						panic(err) // members validated at AddEdge time
-					}
+				if _, err := b.AddEdgeIfAbsent(members[i], members[j]); err != nil {
+					panic(err) // members validated at AddEdge time
 				}
 			}
 		}
@@ -203,7 +253,6 @@ func RandomRegularUniform(n, deg, k int, r *prng.Rand) (*Hypergraph, error) {
 		return nil, fmt.Errorf("hypergraph: RandomRegularUniform(%d, %d, %d): n*deg must be divisible by k", n, deg, k)
 	}
 	stubs := make([]int, 0, n*deg)
-	members := make([]int, k)
 	for attempt := 0; attempt < maxRestarts; attempt++ {
 		stubs = stubs[:0]
 		for v := 0; v < n; v++ {
@@ -212,11 +261,13 @@ func RandomRegularUniform(n, deg, k int, r *prng.Rand) (*Hypergraph, error) {
 			}
 		}
 		r.Shuffle(len(stubs), func(i, j int) { stubs[i], stubs[j] = stubs[j], stubs[i] })
+		// Each hyperedge owns its k stubs; a failed attempt drops its
+		// builder before the stubs are refilled.
 		b := NewBuilder(n)
+		b.edges = make([][]int, 0, len(stubs)/k)
 		ok := true
 		for i := 0; ok && i < len(stubs); i += k {
-			copy(members, stubs[i:i+k])
-			if err := b.AddEdge(members...); err != nil {
+			if err := b.AddOwnedEdge(stubs[i : i+k : i+k]); err != nil {
 				ok = false
 			}
 		}

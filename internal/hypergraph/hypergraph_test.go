@@ -2,6 +2,7 @@ package hypergraph
 
 import (
 	"errors"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -10,19 +11,67 @@ import (
 	"repro/internal/prng"
 )
 
+// TestAddOwnedEdge checks that an owned member list is kept without a
+// copy (sorted in place when it is not ascending), that it fails with
+// AddEdge's messages, and that the incidence lists come out in hyperedge
+// order through both Incident and ForEachIncident.
+func TestAddOwnedEdge(t *testing.T) {
+	b := NewBuilder(5)
+	sorted, unsorted := []int{0, 2, 4}, []int{4, 1, 2}
+	if err := b.AddOwnedEdge(sorted); err != nil {
+		t.Fatal(err)
+	}
+	if err := b.AddOwnedEdge(unsorted); err != nil {
+		t.Fatal(err)
+	}
+	if err := b.AddOwnedEdge([]int{3, 3}); err == nil || err.Error() != "hypergraph: duplicate member in hyperedge: node 3" {
+		t.Fatalf("duplicate error = %v", err)
+	}
+	if err := b.AddOwnedEdge(nil); err != ErrEmptyEdge {
+		t.Fatalf("empty error = %v", err)
+	}
+	h := b.Build()
+	if &h.Edge(0)[0] != &sorted[0] || &h.Edge(1)[0] != &unsorted[0] {
+		t.Fatal("owned member lists were copied")
+	}
+	if !slices.Equal(unsorted, []int{1, 2, 4}) {
+		t.Fatalf("owned list not sorted in place: %v", unsorted)
+	}
+	for v, want := range [][]int{{0}, {1}, {0, 1}, nil, {0, 1}} {
+		var got []int
+		h.ForEachIncident(v, func(id int) { got = append(got, id) })
+		if !slices.Equal(got, want) || !slices.Equal(h.Incident(v), want) {
+			t.Fatalf("node %d: ForEachIncident %v, Incident %v; want %v", v, got, h.Incident(v), want)
+		}
+	}
+}
+
+// TestBuilderValidates pins each validation error's sentinel and exact
+// message. Members are checked in sorted order, each for range before
+// duplication.
 func TestBuilderValidates(t *testing.T) {
 	b := NewBuilder(4)
-	if err := b.AddEdge(); !errors.Is(err, ErrEmptyEdge) {
-		t.Fatalf("empty edge error = %v", err)
-	}
-	if err := b.AddEdge(0, 4); !errors.Is(err, ErrNodeRange) {
-		t.Fatalf("range error = %v", err)
-	}
-	if err := b.AddEdge(1, 2, 1); !errors.Is(err, ErrDuplicateMember) {
-		t.Fatalf("duplicate member error = %v", err)
+	for _, tc := range []struct {
+		members []int
+		is      error
+		want    string
+	}{
+		{nil, ErrEmptyEdge, "hypergraph: empty hyperedge"},
+		{[]int{0, 4}, ErrNodeRange, "hypergraph: node out of range: 4 with n=4"},
+		{[]int{3, -1}, ErrNodeRange, "hypergraph: node out of range: -1 with n=4"},
+		{[]int{1, 2, 1}, ErrDuplicateMember, "hypergraph: duplicate member in hyperedge: node 1"},
+		{[]int{5, 1, 1}, ErrDuplicateMember, "hypergraph: duplicate member in hyperedge: node 1"},
+		{[]int{1, 1, -2}, ErrNodeRange, "hypergraph: node out of range: -2 with n=4"},
+	} {
+		if err := b.AddEdge(tc.members...); !errors.Is(err, tc.is) || err.Error() != tc.want {
+			t.Errorf("AddEdge(%v) = %v, want %q", tc.members, err, tc.want)
+		}
 	}
 	if err := b.AddEdge(2, 0, 3); err != nil {
 		t.Fatalf("valid edge rejected: %v", err)
+	}
+	if h := b.Build(); h.M() != 1 {
+		t.Fatalf("rejected hyperedges were kept: M = %d", h.M())
 	}
 }
 

@@ -23,13 +23,18 @@ type Conjunction struct {
 // the value indices of S_i for scope variable i; dists[i] is the
 // distribution of scope variable i (used to precompute set probabilities).
 func NewConjunction(scope []int, badSets [][]int, dists []*dist.Distribution) *Conjunction {
-	c := &Conjunction{
-		scope:   append([]int(nil), scope...),
-		badSets: make([][]bool, len(scope)),
-		setProb: make([]float64, len(scope)),
-	}
+	return new(arenas).conjunction(scope, badSets, dists)
+}
+
+// conjunction builds a Conjunction from a's slabs and arenas: a copy of
+// scope, and one mask and one set probability per scope variable.
+func (a *arenas) conjunction(scope []int, badSets [][]int, dists []*dist.Distribution) *Conjunction {
+	c := a.conjs.one()
+	c.scope = a.ints.clone(scope)
+	c.badSets = a.masks.alloc(len(scope))
+	c.setProb = a.floats.alloc(len(scope))
 	for i := range scope {
-		mask := make([]bool, dists[i].Size())
+		mask := a.bools.alloc(dists[i].Size())
 		p := 0.0
 		for _, v := range badSets[i] {
 			if !mask[v] {
@@ -76,13 +81,18 @@ func (c *Conjunction) CondProb(vals []int, fixed []bool) float64 {
 
 // AddConjunctionEvent registers a conjunction-shaped event on b and returns
 // its identifier. dists must be the distributions of the scope variables in
-// scope order.
+// scope order. The scope is copied once: the event's Scope and the
+// Conjunction share the copy. The event's ConjunctionSpec holds a copy of
+// every bad set (nil for an empty one), so the caller may reuse scope and
+// badSets.
 func AddConjunctionEvent(b *Builder, scope []int, badSets [][]int, dists []*dist.Distribution, name string) int {
-	c := NewConjunction(scope, badSets, dists)
-	id := b.AddEvent(scope, c.Bad, c.CondProb, name)
-	spec := ConjunctionSpec{BadSets: make([][]int, len(badSets))}
+	c := b.mem.conjunction(scope, badSets, dists)
+	id := b.addEvent(c.scope, c.Bad, c.CondProb, name)
+	spec := ConjunctionSpec{BadSets: b.mem.sets.alloc(len(badSets))}
 	for i, set := range badSets {
-		spec.BadSets[i] = append([]int(nil), set...)
+		if len(set) > 0 {
+			spec.BadSets[i] = b.mem.ints.clone(set)
+		}
 	}
 	b.events[id].Spec = spec
 	return id

@@ -51,7 +51,11 @@ type Variable struct {
 	// their index 0..Dist.Size()-1.
 	Dist *dist.Distribution
 	// Events lists the identifiers of the events whose scope contains this
-	// variable, in event order. Its length is the rank of the variable.
+	// variable, in ascending event order without duplicates; nil if the
+	// variable affects no event. Its length is the rank of the variable.
+	// The slice is shared, read-only: the variables' lists are sub-slices
+	// of one array, and the variable hypergraph uses the list itself as
+	// the variable's hyperedge.
 	Events []int
 }
 
@@ -69,6 +73,9 @@ type Event struct {
 	// Name is an optional human-readable label.
 	Name string
 	// Scope lists the identifiers of the variables the event depends on.
+	// The slice is shared, read-only: Build copies the scope once into an
+	// array shared with other events, and a conjunction event's Scope is
+	// also its Conjunction's scope.
 	Scope []int
 	// Bad is the defining predicate: it receives the value indices of the
 	// scope variables (parallel to Scope) and reports whether the bad event
@@ -93,10 +100,21 @@ type Instance struct {
 }
 
 // Builder accumulates variables and events and produces an Instance.
+//
+// A Builder allocates per chunk, not per variable or event: the Variable
+// and Event structs come from slabs, and scopes, bad sets and the
+// conjunction tables from arenas, all owned by the Builder and handed to
+// the instance it builds. Nothing is pooled or shared between builders,
+// so builders run concurrently without coordination.
 type Builder struct {
 	vars   []*Variable
 	events []*Event
 	err    error
+
+	mem arenas
+	// stamp[v] is 1 + the identifier of the last event whose scope was
+	// checked to hold variable v: the duplicate check of AddEvent.
+	stamp []int
 }
 
 // NewBuilder returns an empty instance builder.
@@ -106,7 +124,9 @@ func NewBuilder() *Builder { return &Builder{} }
 // its identifier.
 func (b *Builder) AddVariable(d *dist.Distribution, name string) int {
 	id := len(b.vars)
-	b.vars = append(b.vars, &Variable{ID: id, Name: name, Dist: d})
+	v := b.mem.vars.one()
+	*v = Variable{ID: id, Name: name, Dist: d}
+	b.vars = append(b.vars, v)
 	return id
 }
 
@@ -114,50 +134,61 @@ func (b *Builder) AddVariable(d *dist.Distribution, name string) int {
 // indices parallel to scope. condProb may be nil. AddEvent returns the event
 // identifier; scope errors are deferred to Build.
 func (b *Builder) AddEvent(scope []int, bad func(vals []int) bool, condProb CondProbFunc, name string) int {
+	return b.addEvent(b.mem.ints.clone(scope), bad, condProb, name)
+}
+
+// addEvent is AddEvent over a scope the event may keep as is.
+func (b *Builder) addEvent(scope []int, bad func(vals []int) bool, condProb CondProbFunc, name string) int {
 	id := len(b.events)
-	scopeCopy := make([]int, len(scope))
-	copy(scopeCopy, scope)
-	b.events = append(b.events, &Event{
+	e := b.mem.events.one()
+	*e = Event{
 		ID:       id,
 		Name:     name,
-		Scope:    scopeCopy,
+		Scope:    scope,
 		Bad:      bad,
 		CondProb: condProb,
-	})
+	}
+	b.events = append(b.events, e)
 	if b.err == nil {
 		if len(scope) == 0 {
 			b.err = fmt.Errorf("%w: event %d (%s)", ErrEmptyScope, id, name)
 			return id
 		}
-		seen := make(map[int]bool, len(scope))
+		if len(b.stamp) < len(b.vars) {
+			b.stamp = append(b.stamp, make([]int, len(b.vars)-len(b.stamp))...)
+		}
 		for _, v := range scope {
 			if v < 0 || v >= len(b.vars) {
 				b.err = fmt.Errorf("%w: event %d references variable %d", ErrVarRange, id, v)
 				return id
 			}
-			if seen[v] {
+			if b.stamp[v] == id+1 {
 				b.err = fmt.Errorf("%w: event %d, variable %d", ErrDuplicateVar, id, v)
 				return id
 			}
-			seen[v] = true
+			b.stamp[v] = id + 1
 		}
 	}
 	return id
 }
 
 // Build validates and finalizes the instance.
+//
+// The variables' Events lists are sub-slices of one array, filled in
+// event order, so each is ascending and (scopes being duplicate-free)
+// duplicate-free. The variable hypergraph takes each list as the
+// variable's hyperedge without copying or sorting it.
 func (b *Builder) Build() (*Instance, error) {
 	if b.err != nil {
 		return nil, b.err
 	}
 	inst := &Instance{vars: b.vars, events: b.events}
-	for _, v := range inst.vars {
-		v.Events = v.Events[:0]
+	scopes := make([][]int, len(b.events))
+	for id, e := range b.events {
+		scopes[id] = e.Scope
 	}
-	for _, e := range inst.events {
-		for _, vid := range e.Scope {
-			inst.vars[vid].Events = append(inst.vars[vid].Events, e.ID)
-		}
+	for vid, events := range hypergraph.Incidence(len(b.vars), scopes) {
+		b.vars[vid].Events = events
 	}
 	// Derive the variable hypergraph. Variables affecting no event get no
 	// hyperedge (they are irrelevant to the LLL and can be fixed freely).
@@ -166,7 +197,7 @@ func (b *Builder) Build() (*Instance, error) {
 		if len(v.Events) == 0 {
 			continue
 		}
-		if err := hb.AddEdge(v.Events...); err != nil {
+		if err := hb.AddOwnedEdge(v.Events); err != nil {
 			return nil, fmt.Errorf("model: building variable hypergraph: %w", err)
 		}
 	}
@@ -190,10 +221,12 @@ func (inst *Instance) NumVars() int { return len(inst.vars) }
 // NumEvents returns the number of events.
 func (inst *Instance) NumEvents() int { return len(inst.events) }
 
-// Var returns the variable with identifier id.
+// Var returns the variable with identifier id. The variable is shared
+// with the instance; treat it and its Events as read-only.
 func (inst *Instance) Var(id int) *Variable { return inst.vars[id] }
 
-// Event returns the event with identifier id.
+// Event returns the event with identifier id. The event is shared with
+// the instance; treat it and its Scope as read-only.
 func (inst *Instance) Event(id int) *Event { return inst.events[id] }
 
 // DependencyGraph returns the dependency graph over events. The returned

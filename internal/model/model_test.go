@@ -28,29 +28,111 @@ func buildPairInstance(t *testing.T) *Instance {
 	return inst
 }
 
+// TestBuilderValidation pins each validation error's sentinel, exact
+// message and order: the first invalid event wins, and within its scope
+// the first variable out of range or repeated.
 func TestBuilderValidation(t *testing.T) {
-	t.Run("empty scope", func(t *testing.T) {
-		b := NewBuilder()
-		b.AddEvent(nil, func([]int) bool { return false }, nil, "e")
-		if _, err := b.Build(); !errors.Is(err, ErrEmptyScope) {
-			t.Fatalf("err = %v", err)
+	never := func([]int) bool { return false }
+	d := dist.Uniform(2)
+	vars := func(b *Builder, n int) {
+		for i := 0; i < n; i++ {
+			b.AddVariable(d, "")
 		}
-	})
-	t.Run("variable out of range", func(t *testing.T) {
-		b := NewBuilder()
-		b.AddEvent([]int{0}, func([]int) bool { return false }, nil, "e")
-		if _, err := b.Build(); !errors.Is(err, ErrVarRange) {
-			t.Fatalf("err = %v", err)
+	}
+	tests := []struct {
+		name  string
+		build func(b *Builder)
+		is    error
+		want  string
+	}{
+		{"empty scope", func(b *Builder) {
+			b.AddEvent(nil, never, nil, "e")
+		}, ErrEmptyScope, "model: event with empty scope: event 0 (e)"},
+		{"variable out of range", func(b *Builder) {
+			vars(b, 1)
+			b.AddEvent([]int{0, 1}, never, nil, "e")
+		}, ErrVarRange, "model: variable out of range: event 0 references variable 1"},
+		{"negative variable", func(b *Builder) {
+			vars(b, 1)
+			b.AddEvent([]int{-1}, never, nil, "e")
+		}, ErrVarRange, "model: variable out of range: event 0 references variable -1"},
+		{"variable added after the event", func(b *Builder) {
+			b.AddEvent([]int{0}, never, nil, "e")
+			vars(b, 1)
+		}, ErrVarRange, "model: variable out of range: event 0 references variable 0"},
+		{"duplicate scope variable", func(b *Builder) {
+			vars(b, 2)
+			b.AddEvent([]int{1, 0, 1}, never, nil, "e")
+		}, ErrDuplicateVar, "model: duplicate variable in scope: event 0, variable 1"},
+		{"duplicate before range", func(b *Builder) {
+			vars(b, 1)
+			b.AddEvent([]int{0, 0, 5}, never, nil, "e")
+		}, ErrDuplicateVar, "model: duplicate variable in scope: event 0, variable 0"},
+		{"range before duplicate", func(b *Builder) {
+			vars(b, 1)
+			b.AddEvent([]int{5, 0, 0}, never, nil, "e")
+		}, ErrVarRange, "model: variable out of range: event 0 references variable 5"},
+		{"first invalid event wins", func(b *Builder) {
+			vars(b, 2)
+			b.AddEvent([]int{0, 1}, never, nil, "ok")
+			b.AddEvent([]int{1, 0, 1}, never, nil, "dup")
+			b.AddEvent(nil, never, nil, "empty")
+		}, ErrDuplicateVar, "model: duplicate variable in scope: event 1, variable 1"},
+		{"conjunction event", func(b *Builder) {
+			vars(b, 2)
+			AddConjunctionEvent(b, []int{0, 1}, [][]int{{1}, {1}}, []*dist.Distribution{d, d}, "ok")
+			AddConjunctionEvent(b, []int{1, 1}, [][]int{{1}, {0}}, []*dist.Distribution{d, d}, "dup")
+		}, ErrDuplicateVar, "model: duplicate variable in scope: event 1, variable 1"},
+	}
+	for _, tt := range tests {
+		t.Run(tt.name, func(t *testing.T) {
+			b := NewBuilder()
+			tt.build(b)
+			if _, err := b.Build(); !errors.Is(err, tt.is) || err.Error() != tt.want {
+				t.Fatalf("Build() error = %v, want %q", err, tt.want)
+			}
+		})
+	}
+}
+
+// TestBuildSharesLists pins the instance memory layout: Events ascend,
+// stay nil for a variable that affects no event, and are the variable's
+// hyperedge itself; a conjunction event's Scope is its own copy, and its
+// spec keeps a nil entry for an empty bad set.
+func TestBuildSharesLists(t *testing.T) {
+	d := dist.Uniform(2)
+	b := NewBuilder()
+	for i := 0; i < 4; i++ {
+		b.AddVariable(d, "")
+	}
+	scope := []int{3, 0}
+	AddConjunctionEvent(b, scope, [][]int{{1}, {}}, []*dist.Distribution{d, d}, "c")
+	b.AddEvent([]int{0, 3, 1}, func([]int) bool { return false }, nil, "h")
+	scope[0] = 2 // the builder keeps copies
+	inst := b.MustBuild()
+	wantEvents := [][]int{{0, 1}, {1}, nil, {0, 1}}
+	for vid, want := range wantEvents {
+		got := inst.Var(vid).Events
+		if (got == nil) != (want == nil) || len(got) != len(want) {
+			t.Fatalf("var %d: Events %v, want %v", vid, got, want)
 		}
-	})
-	t.Run("duplicate scope variable", func(t *testing.T) {
-		b := NewBuilder()
-		x := b.AddVariable(dist.Uniform(2), "x")
-		b.AddEvent([]int{x, x}, func([]int) bool { return false }, nil, "e")
-		if _, err := b.Build(); !errors.Is(err, ErrDuplicateVar) {
-			t.Fatalf("err = %v", err)
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("var %d: Events %v, want %v", vid, got, want)
+			}
 		}
-	})
+	}
+	h := inst.VariableHypergraph()
+	if &h.Edge(0)[0] != &inst.Var(0).Events[0] {
+		t.Fatal("the variable hypergraph copied Var(0).Events")
+	}
+	if e := inst.Event(0); e.Scope[0] != 3 || e.Scope[1] != 0 {
+		t.Fatalf("event 0 scope %v, want [3 0]", e.Scope)
+	}
+	spec := inst.Event(0).Spec.(ConjunctionSpec)
+	if spec.BadSets[0][0] != 1 || spec.BadSets[1] != nil {
+		t.Fatalf("conjunction spec %v, want [[1] nil]", spec.BadSets)
+	}
 }
 
 func TestUnconditionalProbability(t *testing.T) {

@@ -105,28 +105,45 @@ func TestEncodeRejectsUntaggedEvents(t *testing.T) {
 	}
 }
 
+// TestLoadValidation pins the exact error of every malformed document,
+// including the model's scope checks surfacing through Build.
 func TestLoadValidation(t *testing.T) {
 	tests := []struct {
 		name string
 		json string
+		want string
 	}{
-		{"wrong version", `{"version":2,"variables":[],"events":[]}`},
-		{"bad probs", `{"version":1,"variables":[{"probs":[0.5,0.4]}],"events":[]}`},
+		{"wrong version", `{"version":2,"variables":[],"events":[]}`,
+			"spec: unsupported version 2 (want 1)"},
+		{"bad probs", `{"version":1,"variables":[{"probs":[0.5,0.4]}],"events":[]}`,
+			"spec: variable 0: dist: probabilities do not sum to 1: sum = 0.9"},
 		{"scope out of range", `{"version":1,"variables":[{"probs":[0.5,0.5]}],
-			"events":[{"kind":"allEqual","scope":[0,1]}]}`},
+			"events":[{"kind":"allEqual","scope":[0,1]}]}`,
+			"spec: event 0 references variable 1 outside [0,1)"},
 		{"unknown kind", `{"version":1,"variables":[{"probs":[0.5,0.5]}],
-			"events":[{"kind":"xor","scope":[0]}]}`},
+			"events":[{"kind":"xor","scope":[0]}]}`,
+			`spec: event 0 has unknown kind "xor"`},
 		{"bad-set value out of range", `{"version":1,"variables":[{"probs":[0.5,0.5]}],
-			"events":[{"kind":"conjunction","scope":[0],"badSets":[[3]]}]}`},
+			"events":[{"kind":"conjunction","scope":[0],"badSets":[[3]]}]}`,
+			"spec: event 0: bad-set value 3 outside variable 0's range"},
 		{"bad-set count mismatch", `{"version":1,"variables":[{"probs":[0.5,0.5]}],
-			"events":[{"kind":"conjunction","scope":[0],"badSets":[[0],[1]]}]}`},
-		{"unknown field", `{"version":1,"variables":[],"events":[],"bogus":1}`},
-		{"garbage", `{`},
+			"events":[{"kind":"conjunction","scope":[0],"badSets":[[0],[1]]}]}`,
+			"spec: event 0: 2 bad sets for scope of 1"},
+		{"empty scope", `{"version":1,"variables":[{"probs":[0.5,0.5]}],
+			"events":[{"name":"e","kind":"allEqual","scope":[]}]}`,
+			"spec: building instance: model: event with empty scope: event 0 (e)"},
+		{"duplicate scope variable", `{"version":1,"variables":[{"probs":[0.5,0.5]},{"probs":[0.5,0.5]}],
+			"events":[{"kind":"conjunction","scope":[0,1],"badSets":[[0],[1]]},
+			{"kind":"conjunction","scope":[1,1],"badSets":[[0],[1]]}]}`,
+			"spec: building instance: model: duplicate variable in scope: event 1, variable 1"},
+		{"unknown field", `{"version":1,"variables":[],"events":[],"bogus":1}`,
+			`spec: decoding: json: unknown field "bogus"`},
+		{"garbage", `{`, "spec: decoding: unexpected EOF"},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			if _, err := Load(strings.NewReader(tt.json)); err == nil {
-				t.Fatalf("Load accepted %s", tt.json)
+			if _, err := Load(strings.NewReader(tt.json)); err == nil || err.Error() != tt.want {
+				t.Fatalf("Load error = %v, want %q", err, tt.want)
 			}
 		})
 	}
