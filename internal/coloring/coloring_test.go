@@ -386,6 +386,7 @@ func TestKWStepSequentialSimulation(t *testing.T) {
 			colors[v] = perm[v]
 		}
 		sched := kwSchedule(k0, tgt)
+		used := make([]bool, tgt)
 		for range sched {
 			for j := 0; j < tgt; j++ {
 				next := make([]int, len(colors))
@@ -394,7 +395,7 @@ func TestKWStepSequentialSimulation(t *testing.T) {
 					for _, u := range g.Neighbors(v) {
 						nbr = append(nbr, colors[u])
 					}
-					c, ok := kwStep(tgt, j, colors[v], nbr)
+					c, ok := kwStep(tgt, j, colors[v], nbr, used)
 					if !ok {
 						t.Fatalf("trial %d: no free colour", trial)
 					}

@@ -38,9 +38,11 @@ type d2Machine struct {
 	rounds   int // the final round
 	color    int
 	// heard holds the colours of the nodes within distance two (excluding
-	// self), rebuilt every A round. A node reached on several paths appears
-	// several times; Reduce and kwStep read the colours only as a set.
+	// self), rebuilt in the A rounds whose step reads them (see fold). A
+	// node reached on several paths appears several times; Reduce and
+	// kwStep read the colours only as a set. used is kwStep's scratch.
 	heard []int
+	used  []bool
 	// out is the B-round payload. Neighbours read it in the following A
 	// round and the next rewrite is a B round later, so one buffer serves
 	// every B round. send is the per-port slice, reused every round.
@@ -63,6 +65,40 @@ func (m *d2Machine) Init(info local.NodeInfo) {
 	m.info = info
 	m.color = int(info.ID)
 	m.send = make([]local.Message, info.Degree())
+	m.used = make([]bool, m.target)
+	// Sized once for the largest payloads: a B round forwards this node
+	// and its neighbours, and each neighbour's payload adds at most
+	// MaxDegree entries to heard (itself and its other neighbours).
+	m.out.pairs = make([]d2Pair, 0, info.Degree()+1)
+	m.heard = make([]int, 0, info.Degree()*info.MaxDegree)
+}
+
+// fold type-checks the B-round payloads in recv and, when keep is set,
+// rebuilds heard from them; otherwise heard is left empty. The Linial step
+// reads heard at every node, a Kuhn-Wattenhofer round only at the nodes
+// whose class it reduces (kwReduces), so the other nodes skip the copy.
+// It reports false, with m.err set, on a payload of the wrong type.
+func (m *d2Machine) fold(recv []local.Message, keep bool) bool {
+	m.heard = m.heard[:0]
+	for _, msg := range recv {
+		if msg == nil {
+			continue
+		}
+		pm, ok := msg.(*d2PairsMsg)
+		if !ok {
+			m.err = fmt.Errorf("coloring: unexpected B-round message %T", msg)
+			return false
+		}
+		if !keep {
+			continue
+		}
+		for _, p := range pm.pairs {
+			if p.id != m.info.ID {
+				m.heard = append(m.heard, p.color)
+			}
+		}
+	}
+	return true
 }
 
 func (m *d2Machine) Round(round int, recv []local.Message) ([]local.Message, bool) {
@@ -71,27 +107,15 @@ func (m *d2Machine) Round(round int, recv []local.Message) ([]local.Message, boo
 	}
 	if round%2 == 1 {
 		// A round. Fold in the forwarded pairs (sent in the previous B
-		// round), then apply the due logical step and broadcast the colour.
+		// round) where the step reads them, then apply the due logical
+		// step and broadcast the colour.
 		if round > 1 {
-			m.heard = m.heard[:0]
-			for _, msg := range recv {
-				if msg == nil {
-					continue
-				}
-				pm, ok := msg.(*d2PairsMsg)
-				if !ok {
-					m.err = fmt.Errorf("coloring: unexpected B-round message %T", msg)
-					return nil, true
-				}
-				for _, p := range pm.pairs {
-					if p.id != m.info.ID {
-						m.heard = append(m.heard, p.color)
-					}
-				}
-			}
 			step := (round - 3) / 2 // logical step index applied this round
 			switch {
 			case step < len(m.schedule):
+				if !m.fold(recv, true) {
+					return nil, true
+				}
 				next, err := Reduce(m.schedule[step], m.color, m.heard)
 				if err != nil {
 					m.err = err
@@ -100,7 +124,10 @@ func (m *d2Machine) Round(round int, recv []local.Message) ([]local.Message, boo
 				m.color = next
 			default:
 				j := (step - len(m.schedule)) % m.target
-				next, ok := kwStep(m.target, j, m.color, m.heard)
+				if !m.fold(recv, kwReduces(m.target, j, m.color)) {
+					return nil, true
+				}
+				next, ok := kwStep(m.target, j, m.color, m.heard, m.used)
 				if !ok {
 					m.err = fmt.Errorf("coloring: no free colour below target %d", m.target)
 					return nil, true

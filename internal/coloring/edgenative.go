@@ -36,6 +36,7 @@ type eoMachine struct {
 	adjEdges map[int][]int
 	colors   map[int]int // my owned edges' colours
 	heard    map[int]int // colours of edges heard this cycle
+	used     []bool      // kwStep's scratch
 	err      error
 }
 
@@ -48,6 +49,7 @@ func newEOMachine(g *graph.Graph, me, k0, deltaL, target int) *eoMachine {
 		kwSched:  kwSchedule(finalK, target),
 		finalK:   finalK,
 		target:   target,
+		used:     make([]bool, target),
 		adjEdges: make(map[int][]int),
 		colors:   make(map[int]int),
 		heard:    make(map[int]int),
@@ -144,7 +146,7 @@ func (m *eoMachine) Round(round int, recv []local.Message) ([]local.Message, boo
 					m.colors[id] = next
 				default:
 					j := (step - len(m.schedule)) % m.target
-					next, ok := kwStep(m.target, j, m.colors[id], neighborColors)
+					next, ok := kwStep(m.target, j, m.colors[id], neighborColors, m.used)
 					if !ok {
 						m.err = fmt.Errorf("coloring: no free colour below target %d", m.target)
 						return nil, true

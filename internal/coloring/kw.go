@@ -35,20 +35,30 @@ func kwRounds(k, tgt int) int {
 	return len(kwSchedule(k, tgt)) * tgt
 }
 
+// kwReduces reports whether a node of the given colour recolours in round
+// j of a halving iteration: whether its class is the one being reduced.
+// It is the only round in which kwStep reads the neighbours' colours, so a
+// machine that must gather those colours first gathers them only then.
+func kwReduces(tgt, j, color int) bool {
+	return color%(2*tgt) == tgt+j
+}
+
 // kwStep executes one node's side of round j (0 ≤ j < tgt) of a halving
 // iteration: given the node's colour and its neighbours' colours (same
 // labelling), it returns the node's colour after the round, applying the
-// end-of-iteration relabelling when j == tgt-1. It returns ok=false if no
-// free colour exists (impossible when the degree bound of the schedule
-// holds).
-func kwStep(tgt, j, color int, neighborColors []int) (int, bool) {
+// end-of-iteration relabelling when j == tgt-1. neighborColors is read
+// only when kwReduces(tgt, j, color); used is the caller's scratch of at
+// least tgt entries, overwritten. It returns ok=false if no free colour
+// exists (impossible when the degree bound of the schedule holds).
+func kwStep(tgt, j, color int, neighborColors []int, used []bool) (int, bool) {
 	blockSize := 2 * tgt
 	b := color / blockSize
 	off := color - b*blockSize
-	if off == tgt+j {
+	if kwReduces(tgt, j, color) {
 		// My class is being reduced this round: take the smallest free
 		// offset in [0, tgt) of my block.
-		used := make([]bool, tgt)
+		used = used[:tgt]
+		clear(used)
 		for _, nc := range neighborColors {
 			if nc/blockSize != b {
 				continue

@@ -83,19 +83,16 @@ func FinalPalette(k0, delta int) int {
 // The node's colour is read as a degree-(t−1) polynomial over GF(q) (base-q
 // digits as coefficients); since distinct colours give distinct polynomials
 // agreeing on at most t−1 points, at most Δ(t−1) < q evaluation points are
-// "blocked" and a free point x exists. The new colour is the pair
-// (x, g(x)) encoded as x·q + g(x).
+// "blocked" and a free point exists. Reduce takes the smallest free point
+// x, scanning x = 0, 1, … and stopping at the first one no neighbour's
+// polynomial shares, and returns the pair (x, g(x)) encoded as x·q + g(x).
+// Every colour is validated before the scan; Reduce allocates nothing
+// unless it fails.
 func Reduce(s Step, color int, neighborColors []int) (int, error) {
 	if color < 0 || color >= s.K {
 		return 0, fmt.Errorf("coloring: colour %d outside palette [0, %d)", color, s.K)
 	}
 	f := gf.New(s.Q)
-	mine := gf.Digits(color, s.Q, s.T)
-	mineAt := make([]int, s.Q) // my polynomial's value at every point
-	for x := range mineAt {
-		mineAt[x] = f.Eval(mine, x)
-	}
-	blocked := make([]bool, s.Q)
 	for _, nc := range neighborColors {
 		if nc == color {
 			return 0, fmt.Errorf("coloring: neighbour shares colour %d (input not proper)", color)
@@ -103,17 +100,16 @@ func Reduce(s Step, color int, neighborColors []int) (int, error) {
 		if nc < 0 || nc >= s.K {
 			return 0, fmt.Errorf("coloring: neighbour colour %d outside palette [0, %d)", nc, s.K)
 		}
-		theirs := gf.Digits(nc, s.Q, s.T)
-		for x := 0; x < s.Q; x++ {
-			if !blocked[x] && mineAt[x] == f.Eval(theirs, x) {
-				blocked[x] = true
+	}
+scan:
+	for x := 0; x < s.Q; x++ {
+		mine := f.EvalDigits(color, s.T, x)
+		for _, nc := range neighborColors {
+			if f.EvalDigits(nc, s.T, x) == mine {
+				continue scan
 			}
 		}
-	}
-	for x := 0; x < s.Q; x++ {
-		if !blocked[x] {
-			return x*s.Q + mineAt[x], nil
-		}
+		return x*s.Q + mine, nil
 	}
 	return 0, fmt.Errorf("coloring: no free evaluation point (degree exceeds the step's Δ bound: %d neighbours, q=%d, t=%d)", len(neighborColors), s.Q, s.T)
 }

@@ -39,6 +39,7 @@ type vcMachine struct {
 	finalK   int
 	target   int
 	color    int
+	used     []bool // kwStep's scratch
 	err      error
 }
 
@@ -49,6 +50,7 @@ func newVCMachine(k0, delta, target int) *vcMachine {
 		kwSched:  kwSchedule(finalK, target),
 		finalK:   finalK,
 		target:   target,
+		used:     make([]bool, target),
 	}
 	return m
 }
@@ -95,7 +97,7 @@ func (m *vcMachine) Round(round int, recv []local.Message) ([]local.Message, boo
 		default:
 			// Kuhn-Wattenhofer halving round.
 			j := (step - len(m.schedule)) % m.target
-			next, ok := kwStep(m.target, j, m.color, neighborColors)
+			next, ok := kwStep(m.target, j, m.color, neighborColors, m.used)
 			if !ok {
 				m.err = fmt.Errorf("coloring: no free colour below target %d", m.target)
 				return nil, true

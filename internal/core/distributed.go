@@ -131,7 +131,13 @@ type lllMachine struct {
 
 func (m *lllMachine) Init(info local.NodeInfo) {
 	m.view = model.NewAssignment(m.inst)
-	m.phi = make(map[phiKey]phiEntry)
+	// The φ table is sized once, for the node's dependency degree d. It
+	// collects the φ entries produced within distance two, a number that
+	// grows with d²: on rank-3 hyper-sinkless at d = 5 and 6 it ends at
+	// 3d²–7d² entries, so 4d(d+1) lets most tables fill without growing and
+	// rehashing.
+	d := info.Degree()
+	m.phi = make(map[phiKey]phiEntry, 4*d*(d+1))
 	m.vars = append([]int(nil), m.inst.Event(m.me).Scope...)
 	sort.Ints(m.vars)
 	m.send = make([]local.Message, info.Degree())

@@ -242,3 +242,28 @@ func BenchmarkFixDistributed3(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkFixDistributed3Hyper72 runs Corollary 1.4 at the shape of the
+// end-to-end benchmark's dist-cold jobs: rank-3 hyper-sinkless on n = 72
+// nodes of degree 3 with slack 0.4. The ID seed is fixed, so every
+// iteration does the same colouring and fixing work. The runs use the
+// engine's shared pool, which takes its worker count from GOMAXPROCS once
+// per process: compare worker counts with -cpu 1 and -cpu 2 in separate
+// runs, not with -cpu 1,2 in one.
+func BenchmarkFixDistributed3Hyper72(b *testing.B) {
+	h, err := hypergraph.RandomRegularRank3(72, 3, prng.New(2701))
+	if err != nil {
+		b.Fatal(err)
+	}
+	s, err := apps.NewHyperSinkless(h, 0.4)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := FixDistributed3(s.Instance, Options{}, local.Options{IDSeed: 2701}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

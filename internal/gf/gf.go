@@ -102,24 +102,24 @@ func (f Field) Inv(a int) int {
 	return f.Pow(a, f.q-2)
 }
 
-// Eval evaluates the polynomial with the given coefficients (coeffs[i] is
-// the coefficient of x^i) at point x, using Horner's rule.
-func (f Field) Eval(coeffs []int, x int) int {
+// EvalDigits evaluates at point x, by Horner's rule, the polynomial whose
+// coefficients are the base-q digits of v >= 0, least significant first,
+// padded or truncated to exactly t of them (the coefficient of x^i is
+// ⌊v/q^i⌋ mod q for i < t). It is how a colour is read as a polynomial of
+// degree below t, without materialising its digits.
+func (f Field) EvalDigits(v, t, x int) int {
+	if t <= 0 {
+		return 0
+	}
+	// top is the place value of the highest digit that can be non-zero:
+	// q^(t-1), or less when v has fewer digits (leading zeros add nothing).
+	top := 1
+	for i := 1; i < t && top <= v/f.q; i++ {
+		top *= f.q
+	}
 	result := 0
-	for i := len(coeffs) - 1; i >= 0; i-- {
-		result = f.Add(f.Mul(result, x), f.Norm(coeffs[i]))
+	for p := top; p > 0; p /= f.q {
+		result = f.Add(f.Mul(result, x), (v/p)%f.q)
 	}
 	return result
-}
-
-// Digits decomposes v >= 0 into base-q digits, least significant first,
-// padded/truncated to exactly t entries. It is how colours become
-// polynomial coefficient vectors.
-func Digits(v, q, t int) []int {
-	out := make([]int, t)
-	for i := 0; i < t && v > 0; i++ {
-		out[i] = v % q
-		v /= q
-	}
-	return out
 }

@@ -105,50 +105,56 @@ func TestPow(t *testing.T) {
 
 func TestEvalHorner(t *testing.T) {
 	f := New(17)
-	// p(x) = 3 + 2x + x^2 at x = 5: 3 + 10 + 25 = 38 = 4 mod 17.
-	if got := f.Eval([]int{3, 2, 1}, 5); got != 4 {
-		t.Fatalf("Eval = %d, want 4", got)
+	// Colour 326 has base-17 digits 3, 2, 1: p(x) = 3 + 2x + x^2, and at
+	// x = 5 that is 3 + 10 + 25 = 38 = 4 mod 17.
+	if got := f.EvalDigits(326, 3, 5); got != 4 {
+		t.Fatalf("EvalDigits = %d, want 4", got)
 	}
-	// Empty polynomial is zero.
-	if got := f.Eval(nil, 9); got != 0 {
-		t.Fatalf("Eval(nil) = %d", got)
+	// Truncated to two digits: 3 + 2x at x = 5 is 13.
+	if got := f.EvalDigits(326, 2, 5); got != 13 {
+		t.Fatalf("EvalDigits(t=2) = %d, want 13", got)
+	}
+	// Padded with a leading zero digit: the same polynomial.
+	if got := f.EvalDigits(326, 4, 5); got != 4 {
+		t.Fatalf("EvalDigits(t=4) = %d, want 4", got)
+	}
+	// The empty polynomial is zero.
+	if got := f.EvalDigits(326, 0, 9); got != 0 {
+		t.Fatalf("EvalDigits(t=0) = %d", got)
 	}
 }
 
-func TestDigitsRoundTrip(t *testing.T) {
-	f := func(v uint16, qRaw uint8) bool {
-		q := int(qRaw%29) + 2
-		t := 1
-		for pow := q; pow <= int(v); pow *= q {
-			t++
+// TestEvalDigitsMatchesExpansion checks EvalDigits against an explicit
+// digit expansion summed term by term.
+func TestEvalDigitsMatchesExpansion(t *testing.T) {
+	primes := []int{2, 3, 5, 7, 11, 13, 29, 73, 101}
+	check := func(v uint32, tRaw, qRaw, xRaw uint8) bool {
+		q := primes[int(qRaw)%len(primes)]
+		f := New(q)
+		digits := int(tRaw % 12)
+		x := int(xRaw) % q
+		want, pow, rest := 0, 1, int(v)
+		for i := 0; i < digits; i++ {
+			want = (want + (rest%q)*pow) % q
+			pow = pow * x % q
+			rest /= q
 		}
-		digits := Digits(int(v), q, t)
-		back := 0
-		mul := 1
-		for _, d := range digits {
-			if d < 0 || d >= q {
-				return false
-			}
-			back += d * mul
-			mul *= q
-		}
-		return back == int(v)
+		return f.EvalDigits(int(v), digits, x) == want
 	}
-	if err := quick.Check(f, nil); err != nil {
+	if err := quick.Check(check, &quick.Config{MaxCount: 2000}); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestDistinctPolynomialsAgreeRarely(t *testing.T) {
 	// The property Linial's reduction depends on: two distinct degree-<t
-	// polynomials agree on at most t-1 points.
+	// polynomials agree on at most t-1 points. Colours 386 and 419 have
+	// base-11 digits 1, 2, 3 and 1, 5, 3.
 	f := New(11)
 	tDeg := 3
-	coeffsA := []int{1, 2, 3}
-	coeffsB := []int{1, 5, 3}
 	agree := 0
 	for x := 0; x < f.Q(); x++ {
-		if f.Eval(coeffsA, x) == f.Eval(coeffsB, x) {
+		if f.EvalDigits(386, tDeg, x) == f.EvalDigits(419, tDeg, x) {
 			agree++
 		}
 	}
@@ -157,10 +163,9 @@ func TestDistinctPolynomialsAgreeRarely(t *testing.T) {
 	}
 }
 
-func BenchmarkEval(b *testing.B) {
+func BenchmarkEvalDigits(b *testing.B) {
 	f := New(101)
-	coeffs := []int{3, 1, 4, 1, 5}
 	for i := 0; i < b.N; i++ {
-		_ = f.Eval(coeffs, i%101)
+		_ = f.EvalDigits(521373214, 5, i%101) // digits 3, 1, 4, 1, 5
 	}
 }

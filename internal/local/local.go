@@ -30,7 +30,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
 	"sync/atomic"
 	"time"
 
@@ -202,34 +201,47 @@ func Run(g *graph.Graph, newMachine func(node int) Machine, opts Options) (Stats
 	n := g.N()
 	ids := assignIDs(n, opts)
 
+	// Per-node tables, built once per run as capacity-capped windows of
+	// flat arrays, node v owning entries off[v] to off[v+1]: the neighbour
+	// IDs handed to Init, the inbox, and links, which names the outbox slot
+	// that fills each inbox slot. A round reads only these, so it copies no
+	// adjacency.
+	off := make([]int, n+1)
+	for v := 0; v < n; v++ {
+		off[v+1] = off[v] + g.Degree(v)
+	}
+	// links[v][i] is the sender behind v's inbox slot i: the port-i
+	// neighbour u and the port under which u sees v. Neighbour lists are
+	// ascending, so visiting v in ascending order reaches every u's ports
+	// in order; seen[u] counts the ones reached so far.
+	linkFlat := make([]link, off[n])
+	seen := make([]int, n)
+	for v := 0; v < n; v++ {
+		i := off[v]
+		g.ForEachNeighbor(v, func(u, _ int) {
+			linkFlat[i] = link{from: u, port: seen[u]}
+			seen[u]++
+			i++
+		})
+	}
+	idFlat := make([]uint64, off[n])
+	inFlat := make([]Message, off[n])
+	links := make([][]link, n)
+	inbox := make([][]Message, n)
 	machines := make([]Machine, n)
-	infos := make([]NodeInfo, n)
 	maxDeg := g.MaxDegree()
 	for v := 0; v < n; v++ {
-		nbrs := g.Neighbors(v)
-		nbrIDs := make([]uint64, len(nbrs))
-		for i, u := range nbrs {
-			nbrIDs[i] = ids[u]
+		lo, hi := off[v], off[v+1]
+		links[v] = linkFlat[lo:hi:hi]
+		inbox[v] = inFlat[lo:hi:hi]
+		nbrIDs := idFlat[lo:hi:hi]
+		for i, l := range links[v] {
+			nbrIDs[i] = ids[l.from]
 		}
-		infos[v] = NodeInfo{ID: ids[v], NeighborIDs: nbrIDs, N: n, MaxDegree: maxDeg}
 		machines[v] = newMachine(v)
-		machines[v].Init(infos[v])
+		machines[v].Init(NodeInfo{ID: ids[v], NeighborIDs: nbrIDs, N: n, MaxDegree: maxDeg})
 	}
 
-	// reversePort[v][i] is the port on which neighbor i of v sees v.
-	reversePort := make([][]int, n)
-	for v := 0; v < n; v++ {
-		nbrs := g.Neighbors(v)
-		reversePort[v] = make([]int, len(nbrs))
-		for i, u := range nbrs {
-			reversePort[v][i] = portOf(g, u, v)
-		}
-	}
-
-	inbox := make([][]Message, n)
-	for v := 0; v < n; v++ {
-		inbox[v] = make([]Message, g.Degree(v))
-	}
 	// Buffers reused across every round: the per-node outboxes, halt flags
 	// and the running set. The engine shards index ranges over them; every
 	// write is index-addressed, so results are independent of the worker
@@ -245,6 +257,7 @@ func Run(g *graph.Graph, newMachine func(node int) Machine, opts Options) (Stats
 	pool, release := runPool(opts)
 	defer release()
 	inj := opts.Fault
+	crashing, panicking, dropping := inj.Crashing(), inj.Panicking(), inj.Dropping()
 
 	// Observability: resolved once per run; nil when disabled, in which
 	// case the round loop takes no timestamps and tracks no shard stats.
@@ -267,8 +280,88 @@ func Run(g *graph.Graph, newMachine func(node int) Machine, opts Options) (Stats
 		return halted
 	}
 
+	// The two phases of a round, built once per run: they read the round
+	// in flight from round and fold their counts into the atomics, which
+	// the loop resets before each phase.
+	var (
+		round                              int
+		steps, crashes, delivered, dropped atomic.Int64
+	)
+
+	// Compute phase: workers pull contiguous node shards and step every
+	// running machine. Machines own disjoint state; outbox and doneFlags
+	// are written at the machine's own index only. The fault checks are
+	// hoisted behind per-class booleans so the fault-free path costs one
+	// predictable branch per node at most.
+	compute := func(lo, hi int) {
+		// Panic with the bare error: the engine's shard recover (or the
+		// service scheduler on the inline path) wraps it into a
+		// *fault.PanicError, capturing the stack at THIS panic site.
+		if panicking && inj.PanicShard(round, lo) {
+			panic(fmt.Errorf("%w: compute shard [%d, %d) round %d", fault.ErrInjected, lo, hi, round))
+		}
+		stepped, crashed := 0, 0
+		for v := lo; v < hi; v++ {
+			if !running[v] {
+				outbox[v] = nil
+				continue
+			}
+			if crashing && inj.CrashNode(round, v) {
+				// Crash-stop for this round: no step, no sends; the
+				// machine stays in the computation and resumes next round
+				// having missed a step (its inbox for this round is
+				// overwritten unread).
+				outbox[v] = nil
+				doneFlags[v] = false
+				crashed++
+				continue
+			}
+			send, done := machines[v].Round(round, inbox[v])
+			outbox[v] = send
+			doneFlags[v] = done
+			stepped++
+		}
+		steps.Add(int64(stepped))
+		if crashed > 0 {
+			crashes.Add(int64(crashed))
+		}
+	}
+
+	// Delivery phase, sharded by destination: node v's inbox slot i is
+	// filled from the outbox slot links[v][i]. Each inbox is written by
+	// exactly one shard, so delivery is race-free; the message count is
+	// accumulated per shard and folded in atomically (order-independent
+	// sum). Injected drops happen here, on the receiver side: the message
+	// is replaced by nil exactly as if the sender had stayed silent.
+	deliver := func(lo, hi int) {
+		count, drops := 0, 0
+		for v := lo; v < hi; v++ {
+			in := inbox[v]
+			for i, l := range links[v] {
+				ob := outbox[l.from]
+				if ob == nil {
+					in[i] = nil
+					continue
+				}
+				msg := ob[l.port]
+				if msg != nil && dropping && inj.DropMessage(round, v, i) {
+					msg = nil
+					drops++
+				}
+				in[i] = msg
+				if msg != nil {
+					count++
+				}
+			}
+		}
+		delivered.Add(int64(count))
+		if drops > 0 {
+			dropped.Add(int64(drops))
+		}
+	}
+
 	var stats Stats
-	for round := 1; numRunning > 0; round++ {
+	for round = 1; numRunning > 0; round++ {
 		if opts.Ctx != nil {
 			if cerr := opts.Ctx.Err(); cerr != nil {
 				err := fmt.Errorf("local: run cancelled after %d rounds, %d machines still running: %w", stats.Rounds, numRunning, cerr)
@@ -284,47 +377,9 @@ func Run(g *graph.Graph, newMachine func(node int) Machine, opts Options) (Stats
 		stats.Rounds = round
 		ro.roundBegin()
 
-		// Compute phase: workers pull contiguous node shards and step every
-		// running machine. Machines own disjoint state; outbox and
-		// doneFlags are written at the machine's own index only. The fault
-		// checks are hoisted behind per-class booleans so the fault-free
-		// path costs one predictable branch per node at most.
-		var steps, crashes atomic.Int64
-		crashing := inj.Crashing()
-		panicking := inj.Panicking()
-		pool.ForEachShardStats(n, func(lo, hi int) {
-			// Panic with the bare error: the engine's shard recover (or the
-			// service scheduler on the inline path) wraps it into a
-			// *fault.PanicError, capturing the stack at THIS panic site.
-			if panicking && inj.PanicShard(round, lo) {
-				panic(fmt.Errorf("%w: compute shard [%d, %d) round %d", fault.ErrInjected, lo, hi, round))
-			}
-			stepped, crashed := 0, 0
-			for v := lo; v < hi; v++ {
-				if !running[v] {
-					outbox[v] = nil
-					continue
-				}
-				if crashing && inj.CrashNode(round, v) {
-					// Crash-stop for this round: no step, no sends; the
-					// machine stays in the computation and resumes next
-					// round having missed a step (its inbox for this round
-					// is overwritten unread).
-					outbox[v] = nil
-					doneFlags[v] = false
-					crashed++
-					continue
-				}
-				send, done := machines[v].Round(round, inbox[v])
-				outbox[v] = send
-				doneFlags[v] = done
-				stepped++
-			}
-			steps.Add(int64(stepped))
-			if crashed > 0 {
-				crashes.Add(int64(crashed))
-			}
-		}, ro.computeStats())
+		steps.Store(0)
+		crashes.Store(0)
+		pool.ForEachShardStats(n, compute, ro.computeStats())
 		stats.Steps += int(steps.Load())
 		stats.CrashSteps += int(crashes.Load())
 		ro.computeDone()
@@ -343,43 +398,9 @@ func Run(g *graph.Graph, newMachine func(node int) Machine, opts Options) (Stats
 			}
 		}
 
-		// Delivery phase, sharded by destination: node v's inbox slot i is
-		// filled from the outbox of its port-i neighbour, on the port under
-		// which that neighbour sees v. Each inbox is written by exactly one
-		// shard, so delivery is race-free; the message count is accumulated
-		// per shard and folded in atomically (order-independent sum).
-		// Injected drops happen here, on the receiver side: the message is
-		// replaced by nil exactly as if the sender had stayed silent.
-		var delivered, dropped atomic.Int64
-		dropping := inj.Dropping()
-		pool.ForEachShardStats(n, func(lo, hi int) {
-			count, drops := 0, 0
-			for v := lo; v < hi; v++ {
-				in := inbox[v]
-				nbrs := g.Neighbors(v)
-				rp := reversePort[v]
-				for i := range in {
-					ob := outbox[nbrs[i]]
-					if ob == nil {
-						in[i] = nil
-						continue
-					}
-					msg := ob[rp[i]]
-					if msg != nil && dropping && inj.DropMessage(round, v, i) {
-						msg = nil
-						drops++
-					}
-					in[i] = msg
-					if msg != nil {
-						count++
-					}
-				}
-			}
-			delivered.Add(int64(count))
-			if drops > 0 {
-				dropped.Add(int64(drops))
-			}
-		}, ro.deliverStats())
+		delivered.Store(0)
+		dropped.Store(0)
+		pool.ForEachShardStats(n, deliver, ro.deliverStats())
 		roundMsgs := int(delivered.Load())
 		stats.MessagesSent += roundMsgs
 		stats.MessagesDropped += int(dropped.Load())
@@ -572,15 +593,9 @@ func runPool(opts Options) (pool *engine.Pool, release func()) {
 	}
 }
 
-// portOf returns the port index under which node u sees node v.
-func portOf(g *graph.Graph, u, v int) int {
-	nbrs := g.Neighbors(u)
-	i := sort.SearchInts(nbrs, v)
-	if i >= len(nbrs) || nbrs[i] != v {
-		panic(fmt.Sprintf("local: %d and %d are not adjacent", u, v))
-	}
-	return i
-}
+// link names the sender behind one inbox slot: the neighbour from, whose
+// outbox slot port holds the message.
+type link struct{ from, port int }
 
 // assignIDs produces the unique node identifiers for a run.
 func assignIDs(n int, opts Options) []uint64 {
