@@ -34,3 +34,16 @@ func BenchmarkRouterPlacement(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkRelayRoundStream measures one routed job of dist-cold's shape
+// end to end: the submit, then a 673-line stream (queued, start, 670
+// rounds, end) relayed from a stub node to one client. B/op and allocs/op
+// cover the whole process, router, stub node and client together.
+func BenchmarkRelayRoundStream(b *testing.B) {
+	ts := newRelayBench(b, distStream(b, 670))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		relayJob(b, ts)
+	}
+}

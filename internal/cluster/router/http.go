@@ -302,14 +302,15 @@ func (r *Router) federatedSLO(w http.ResponseWriter, req *http.Request) {
 	writeJSON(w, http.StatusOK, out)
 }
 
-// streamRoutedEvents serves the router's relayed buffer as NDJSON with the
+// streamRoutedEvents serves the router's relayed stream as NDJSON with the
 // same follow-to-terminal and ?from=N semantics as a node's own stream.
+// Whatever is relayed since the last write goes out in one write and one
+// flush.
 func streamRoutedEvents(w http.ResponseWriter, req *http.Request, job *routedJob) {
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.Header().Set("Cache-Control", "no-store")
 	w.WriteHeader(http.StatusOK)
 	flusher, _ := w.(http.Flusher)
-	enc := json.NewEncoder(w)
 
 	next := 0
 	if f := req.URL.Query().Get("from"); f != "" {
@@ -318,21 +319,19 @@ func streamRoutedEvents(w http.ResponseWriter, req *http.Request, job *routedJob
 		}
 	}
 	for {
-		events, more, state := job.eventsSince(next)
-		for _, e := range events {
-			if err := enc.Encode(e); err != nil {
+		lines, n, more, state := job.eventsSince(next)
+		if n > 0 {
+			if _, err := w.Write(lines); err != nil {
 				return
 			}
-		}
-		next += len(events)
-		if len(events) > 0 && flusher != nil {
-			flusher.Flush()
-		}
-		if len(events) == 0 && state.Terminal() {
-			return
-		}
-		if len(events) > 0 {
+			if flusher != nil {
+				flusher.Flush()
+			}
+			next += n
 			continue
+		}
+		if state.Terminal() {
+			return
 		}
 		select {
 		case <-more:

@@ -131,8 +131,14 @@ type routedJob struct {
 	node      string // current node
 	nodeJobID string // id on that node
 	nodeSeen  int    // events consumed from the current node's stream
-	events    []service.Event
-	more      chan struct{} // closed+replaced on every append
+	// stream is the relayed NDJSON stream, one line per event, and ends[i]
+	// is the offset just past event i's newline. Bytes once appended never
+	// change, so a reader may keep a slice of stream after unlocking.
+	stream []byte
+	ends   []int
+	// more is closed on the next append; it is made when a reader has
+	// nothing left to read, so an append no one waits for allocates none.
+	more      chan struct{}
 	state     service.State
 	errMsg    string
 	result    *service.Summary
@@ -342,7 +348,7 @@ func (r *Router) Submit(js service.JobSpec) (*routedJob, error) {
 	if js.CheckpointEvery > 0 {
 		js.ExportCheckpoints = true
 	}
-	job := &routedJob{spec: js, key: key, created: time.Now(), more: make(chan struct{})}
+	job := &routedJob{spec: js, key: key, created: time.Now()}
 
 	node, view, serr := r.place(job, "")
 	if serr != nil {
@@ -470,33 +476,74 @@ func (r *Router) place(job *routedJob, skip string) (string, *service.View, *sub
 	return "", nil, &submitError{status: lastStatus, msg: lastMsg}
 }
 
-// append adds one relayed event to the job's buffer with a continuous
-// router-scope Seq and wakes stream readers. An "end" event also records
-// the job's terminal state, under the same lock, so no reader sees the
-// terminal state before the event.
+// append adds one relayed event to the job's stream with a continuous
+// router-scope Seq and wakes stream readers. The event is stored as its
+// json.Marshal bytes, which is what an encoder writes for it. An "end"
+// event also records the job's terminal state, under the same lock, so no
+// reader sees the terminal state before the event.
 func (j *routedJob) append(e service.Event) {
 	j.mu.Lock()
+	defer j.mu.Unlock()
 	if e.Kind == "end" {
 		j.state = e.State
 		j.errMsg = e.Err
 	}
-	e.Seq = len(j.events)
-	j.events = append(j.events, e)
-	close(j.more)
-	j.more = make(chan struct{})
-	j.mu.Unlock()
+	e.Seq = len(j.ends)
+	line, err := json.Marshal(e)
+	if err != nil {
+		// Every field of an Event encodes, except a float that is NaN or
+		// infinite, and none of those decodes from a node's stream.
+		panic(fmt.Sprintf("router: encode event %q: %v", e.Kind, err))
+	}
+	j.pushLocked(append(j.stream, line...))
 }
 
-// eventsSince snapshots the buffer from seq on, with the wake channel and
-// current state (mirrors service.Job.EventsSince for the stream handler).
-func (j *routedJob) eventsSince(seq int) ([]service.Event, <-chan struct{}, service.State) {
+// appendRound relays a node line that is a "round" event without decoding
+// it (see service.AppendRelayedRound), counting it as consumed from the
+// node. It reports false when the line must be decoded instead.
+func (j *routedJob) appendRound(line []byte, node string) bool {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	var out []service.Event
-	if seq < len(j.events) {
-		out = append(out, j.events[seq:]...)
+	stream, ok := service.AppendRelayedRound(j.stream, line, len(j.ends), node)
+	if !ok {
+		return false
 	}
-	return out, j.more, j.state
+	j.nodeSeen++
+	j.pushLocked(stream)
+	return true
+}
+
+// pushLocked ends the event just written at the tail of stream and wakes
+// the readers waiting for it.
+func (j *routedJob) pushLocked(stream []byte) {
+	j.stream = append(stream, '\n')
+	j.ends = append(j.ends, len(j.stream))
+	if j.more != nil {
+		close(j.more)
+		j.more = nil
+	}
+}
+
+// eventsSince returns the relayed NDJSON lines from seq on, how many events
+// they hold, and the current state (mirrors service.Job.EventsSince for the
+// stream handler). The lines share the job's buffer, which never rewrites
+// them. When there is nothing to return yet, it also returns a channel
+// that the next append closes; otherwise that channel is nil.
+func (j *routedJob) eventsSince(seq int) ([]byte, int, <-chan struct{}, service.State) {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	if seq >= len(j.ends) {
+		if j.more == nil {
+			j.more = make(chan struct{})
+		}
+		return nil, 0, j.more, j.state
+	}
+	start := 0
+	if seq > 0 {
+		start = j.ends[seq-1]
+	}
+	end := len(j.stream)
+	return j.stream[start:end:end], len(j.ends) - seq, nil, j.state
 }
 
 // view synthesizes the router-scope job view from the local mirror.
@@ -509,7 +556,7 @@ func (j *routedJob) view() service.View {
 		State:    j.state,
 		Spec:     j.spec,
 		Created:  j.created.UTC().Format(time.RFC3339Nano),
-		Events:   len(j.events),
+		Events:   len(j.ends),
 		Error:    j.errMsg,
 		Result:   j.result,
 		Node:     j.node,
@@ -652,11 +699,19 @@ func (r *Router) streamOnce(job *routedJob) (terminal bool, err error) {
 		// a dead stream so the job migrates with its checkpoint.
 		return false, fmt.Errorf("router: node %s: events status %d", node, resp.StatusCode)
 	}
+	// Round lines are ~100 bytes; a checkpoint line or a flight dump may
+	// grow the buffer up to the cap.
 	sc := bufio.NewScanner(resp.Body)
-	sc.Buffer(make([]byte, 1<<20), 16<<20)
+	sc.Buffer(make([]byte, 64<<10), 16<<20)
 	for sc.Scan() {
 		line := sc.Bytes()
 		if len(bytes.TrimSpace(line)) == 0 {
+			continue
+		}
+		// Nearly every line is a round, which the router only renumbers and
+		// stamps with the node; every other event is decoded.
+		if job.appendRound(line, node) {
+			r.m.relayed.Inc()
 			continue
 		}
 		var e service.Event

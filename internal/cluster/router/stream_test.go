@@ -77,8 +77,8 @@ func TestRoutedStreamWaitsForEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Nothing is relayed yet, so the routed job must not look finished.
-	if events, _, state := job.eventsSince(0); len(events) != 0 || state.Terminal() {
-		t.Fatalf("before any relayed event: %d events, state %q; want none and a live state", len(events), state)
+	if _, events, _, state := job.eventsSince(0); events != 0 || state.Terminal() {
+		t.Fatalf("before any relayed event: %d events, state %q; want none and a live state", events, state)
 	}
 
 	type streamResult struct {

@@ -1,9 +1,12 @@
 package service
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
+	"strconv"
 	"sync"
 	"time"
 
@@ -118,6 +121,101 @@ type Event struct {
 	// len(Flight) the older ones were overwritten by the bounded ring.
 	Flight      []obs.FlightEntry `json:"flight,omitempty"`
 	FlightTotal int64             `json:"flight_total,omitempty"`
+}
+
+// roundKeys are the keys encoding/json writes for a "round" event that sets
+// no other fields, in Event's field order. It always writes t_ms, and each
+// of the others only when it is non-zero.
+var roundKeys = [...]string{"t_ms", "round", "steps", "messages", "active", "halted", "dropped", "crashed", "instance"}
+
+// intDigits is the most digits an integer may have for AppendRelayedRound
+// to pass it through: 3/10 < log10(2), so every such number fits in an int
+// and decoding it could not have failed.
+const intDigits = (strconv.IntSize - 1) * 3 / 10
+
+// AppendRelayedRound appends to dst the line a router relays for line, a
+// node's NDJSON event, without decoding it: line's bytes with Seq set to
+// seq and Node to node. The result is exactly what encoding/json writes
+// for the decoded event after those two assignments, without the newline.
+// It reports false, leaving dst unchanged, when line is not exactly what
+// encoding/json writes for a "round" event that sets nothing but Seq and
+// the fields of roundKeys, or holds a number of more than intDigits
+// digits: the caller then decodes the line instead.
+func AppendRelayedRound(dst, line []byte, seq int, node string) ([]byte, bool) {
+	const head, kind = `{"seq":`, `,"kind":"round"`
+	rest, ok := bytes.CutPrefix(line, []byte(head))
+	if ok {
+		rest, ok = cutInt(rest, true)
+	}
+	if ok {
+		rest, ok = bytes.CutPrefix(rest, []byte(kind))
+	}
+	if !ok {
+		return dst, false
+	}
+	fields := rest
+	for i, key := range roundKeys {
+		val, found := cutKey(rest, key)
+		if !found {
+			if i == 0 {
+				return dst, false
+			}
+			continue
+		}
+		if rest, ok = cutInt(val, i == 0); !ok {
+			return dst, false
+		}
+	}
+	if len(rest) != 1 || rest[0] != '}' {
+		return dst, false
+	}
+	dst = append(dst, head...)
+	dst = strconv.AppendInt(dst, int64(seq), 10)
+	dst = append(dst, kind...)
+	dst = append(dst, fields[:len(fields)-1]...)
+	if node != "" {
+		dst = append(dst, `,"node":`...)
+		dst = appendJSONString(dst, node)
+	}
+	return append(dst, '}'), true
+}
+
+// cutKey cuts `,"key":` from the front of b.
+func cutKey(b []byte, key string) ([]byte, bool) {
+	n := len(key)
+	if len(b) < n+4 || b[0] != ',' || b[1] != '"' || string(b[2:2+n]) != key || b[2+n] != '"' || b[3+n] != ':' {
+		return b, false
+	}
+	return b[n+4:], true
+}
+
+// cutInt cuts a non-negative integer of at most intDigits digits, written
+// as encoding/json writes it, from the front of b. Zero, the one number
+// with a leading zero, is accepted only when zeroOK.
+func cutInt(b []byte, zeroOK bool) ([]byte, bool) {
+	if len(b) > 0 && b[0] == '0' {
+		return b[1:], zeroOK
+	}
+	n := 0
+	for n < len(b) && n <= intDigits && '0' <= b[n] && b[n] <= '9' {
+		n++
+	}
+	return b[n:], n > 0 && n <= intDigits
+}
+
+// appendJSONString appends s as encoding/json writes a string. Printable
+// ASCII that encoding/json does not escape is copied; anything else takes
+// json.Marshal, so the escaping rules stay encoding/json's own.
+func appendJSONString(dst []byte, s string) []byte {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c < 0x20 || c > 0x7e || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
+			quoted, _ := json.Marshal(s) // a string always encodes
+			return append(dst, quoted...)
+		}
+	}
+	dst = append(dst, '"')
+	dst = append(dst, s...)
+	return append(dst, '"')
 }
 
 // Summary is the result of a completed (or partially completed) job run.
