@@ -93,7 +93,7 @@ func run() error {
 	addr := flag.String("addr", ":8080", "listen address")
 	queueCap := flag.Int("queue", 64, "admission queue capacity (full queue answers 429)")
 	inflight := flag.Int("inflight", 0, "max concurrently running jobs (0: GOMAXPROCS/2)")
-	jobWorkers := flag.Int("job-workers", 0, "engine worker cap per job (0: GOMAXPROCS)")
+	jobWorkers := flag.Int("job-workers", 0, "engine worker cap per job (0: GOMAXPROCS); a LOCAL run whose rounds are too small to share runs inline whatever the cap")
 	retention := flag.Int("retention", 256, "finished jobs kept in the store")
 	cacheSize := flag.Int("cache-size", 256, "canonical result-cache entries (negative: disable caching)")
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "graceful-shutdown budget for running jobs")

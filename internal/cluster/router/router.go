@@ -18,6 +18,7 @@ import (
 	"net/http"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/cluster"
@@ -102,6 +103,10 @@ type Router struct {
 	jobs   map[string]*routedJob
 	order  []*routedJob
 	nextID int64
+	// terminal counts the routed jobs in order that have turned terminal.
+	// A job adds one when its first terminal event is relayed and takes it
+	// back when it is evicted, so eviction need not lock every job.
+	terminal atomic.Int64
 
 	m routerMetrics
 }
@@ -355,13 +360,7 @@ func (r *Router) Submit(js service.JobSpec) (*routedJob, error) {
 		r.m.rejected.Inc()
 		return nil, serr
 	}
-	r.mu.Lock()
-	r.nextID++
-	job.id = fmt.Sprintf("r%06d", r.nextID)
-	r.jobs[job.id] = job
-	r.order = append(r.order, job)
-	r.evictLocked()
-	r.mu.Unlock()
+	r.track(job)
 	r.m.jobs.Inc()
 
 	job.mu.Lock()
@@ -480,11 +479,13 @@ func (r *Router) place(job *routedJob, skip string) (string, *service.View, *sub
 // router-scope Seq and wakes stream readers. The event is stored as its
 // json.Marshal bytes, which is what an encoder writes for it. An "end"
 // event also records the job's terminal state, under the same lock, so no
-// reader sees the terminal state before the event.
-func (j *routedJob) append(e service.Event) {
+// reader sees the terminal state before the event. It reports whether the
+// event turned a live job terminal.
+func (j *routedJob) append(e service.Event) (turned bool) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if e.Kind == "end" {
+		turned = !j.state.Terminal() && e.State.Terminal()
 		j.state = e.State
 		j.errMsg = e.Err
 	}
@@ -496,6 +497,7 @@ func (j *routedJob) append(e service.Event) {
 		panic(fmt.Sprintf("router: encode event %q: %v", e.Kind, err))
 	}
 	j.pushLocked(append(j.stream, line...))
+	return turned
 }
 
 // appendRound relays a node line that is a "round" event without decoding
@@ -570,33 +572,53 @@ func (r *Router) finalize(job *routedJob, state service.State, msg string) {
 	job.mu.Lock()
 	trace := job.trace
 	job.mu.Unlock()
-	job.append(service.Event{Kind: "end", State: state, Err: msg, Trace: trace})
+	r.end(job, service.Event{Kind: "end", State: state, Err: msg, Trace: trace})
 }
 
-// evictLocked enforces Config.Retention over terminal routed jobs.
-func (r *Router) evictLocked() {
-	terminal := 0
-	for _, j := range r.order {
-		if j.terminal() {
-			terminal++
-		}
+// end relays a job's "end" event and counts the job as terminal the first
+// time one turns it terminal.
+func (r *Router) end(job *routedJob, e service.Event) {
+	if job.append(e) {
+		r.terminal.Add(1)
 	}
-	if terminal <= r.cfg.Retention {
+}
+
+// track registers a placed job under a fresh router ID and enforces
+// Config.Retention.
+func (r *Router) track(job *routedJob) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.nextID++
+	job.id = fmt.Sprintf("r%06d", r.nextID)
+	r.jobs[job.id] = job
+	r.order = append(r.order, job)
+	r.evictLocked()
+}
+
+// evictLocked enforces Config.Retention over terminal routed jobs. It
+// returns at once while the terminal count is within Retention; otherwise
+// it drops the oldest terminal jobs from the front of the order, keeping
+// every live job whatever its age.
+func (r *Router) evictLocked() {
+	excess := int(r.terminal.Load()) - r.cfg.Retention
+	if excess <= 0 {
 		return
 	}
-	kept := r.order[:0]
-	for _, j := range r.order {
-		if terminal > r.cfg.Retention && j.terminal() {
+	kept, i := 0, 0
+	for ; i < len(r.order) && excess > 0; i++ {
+		j := r.order[i]
+		if j.terminal() {
 			delete(r.jobs, j.id)
-			terminal--
+			r.terminal.Add(-1)
+			excess--
 			continue
 		}
-		kept = append(kept, j)
+		r.order[kept] = j
+		kept++
 	}
-	for i := len(kept); i < len(r.order); i++ {
-		r.order[i] = nil
-	}
-	r.order = kept
+	n := kept + copy(r.order[kept:], r.order[i:])
+	clear(r.order[n:])
+	r.order = r.order[:n]
 }
 
 func (j *routedJob) terminal() bool {
@@ -743,7 +765,7 @@ func (r *Router) streamOnce(job *routedJob) (terminal bool, err error) {
 			r.fetchResult(job, node, nodeID)
 			e.Node = node
 			r.m.relayed.Inc()
-			job.append(e)
+			r.end(job, e)
 			return true, nil
 		}
 		if e.Kind == "queued" || e.Kind == "start" {

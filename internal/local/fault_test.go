@@ -2,6 +2,7 @@ package local
 
 import (
 	"errors"
+	"strings"
 	"testing"
 
 	"repro/internal/fault"
@@ -84,25 +85,73 @@ func TestChaosTerminatesDespiteDamage(t *testing.T) {
 	}
 }
 
+// runPanicking runs newMachine on g and returns the value Run panicked
+// with, or nil if it returned.
+func runPanicking(g *graph.Graph, newMachine func(int) Machine, opts Options) (recovered any) {
+	defer func() { recovered = recover() }()
+	Run(g, newMachine, opts)
+	return nil
+}
+
 // TestPanicInjection checks the loud-failure side: a panic-rate injector
 // makes the compute phase panic with a *fault.PanicError that unwraps to
-// ErrInjected, unwound through the engine pool to the Run caller.
+// ErrInjected, on both sides of the inline cutoff and at Workers 1 and 4,
+// so inline rounds raise it as the pool does.
 func TestPanicInjection(t *testing.T) {
 	inj := fault.NewInjector(fault.Plan{Seed: 1, PanicRate: 0.9})
-	var recovered any
-	func() {
-		defer func() { recovered = recover() }()
-		g := graph.Cycle(64)
-		Run(g, func(v int) Machine { return &floodMachine{} }, Options{IDSeed: 1, Workers: 4, Fault: inj})
-	}()
-	if recovered == nil {
-		t.Fatal("panic injection at rate 0.9 never panicked")
+	for _, side := range cutoffSides() {
+		for _, workers := range []int{1, 4} {
+			recovered := runPanicking(side.g, func(int) Machine { return &floodMachine{} },
+				Options{IDSeed: 1, Workers: workers, Fault: inj})
+			if recovered == nil {
+				t.Fatalf("%s cutoff, workers=%d: panic injection at rate 0.9 never panicked", side.name, workers)
+			}
+			pe, ok := recovered.(*fault.PanicError)
+			if !ok {
+				t.Fatalf("%s cutoff, workers=%d: recovered %T, want *fault.PanicError", side.name, workers, recovered)
+			}
+			if !errors.Is(pe, fault.ErrInjected) {
+				t.Errorf("%s cutoff, workers=%d: injected panic does not unwrap to ErrInjected: %v", side.name, workers, pe)
+			}
+		}
 	}
-	pe, ok := recovered.(*fault.PanicError)
-	if !ok {
-		t.Fatalf("recovered %T, want *fault.PanicError", recovered)
+}
+
+// panicMachine panics in round 2 on the node with the given ID.
+type panicMachine struct {
+	id, victim uint64
+}
+
+func (m *panicMachine) Init(info NodeInfo) { m.id = info.ID }
+
+func (m *panicMachine) Round(round int, _ []Message) ([]Message, bool) {
+	if round == 2 && m.id == m.victim {
+		panic(errOrganic)
 	}
-	if !errors.Is(pe, fault.ErrInjected) {
-		t.Errorf("injected panic does not unwrap to ErrInjected: %v", pe)
+	return nil, round >= 3
+}
+
+var errOrganic = errors.New("organic machine panic")
+
+// TestMachinePanicCarriesStack checks that a machine's own panic leaves Run
+// as a *fault.PanicError holding the original value and the stack of the
+// panic site, on both sides of the inline cutoff and at Workers 1 and 4.
+func TestMachinePanicCarriesStack(t *testing.T) {
+	for _, side := range cutoffSides() {
+		for _, workers := range []int{1, 4} {
+			victim := uint64(side.g.N() / 2)
+			recovered := runPanicking(side.g, func(int) Machine { return &panicMachine{victim: victim} },
+				Options{SequentialIDs: true, Workers: workers})
+			pe, ok := recovered.(*fault.PanicError)
+			if !ok {
+				t.Fatalf("%s cutoff, workers=%d: recovered %T (%v), want *fault.PanicError", side.name, workers, recovered, recovered)
+			}
+			if pe.Value != errOrganic {
+				t.Errorf("%s cutoff, workers=%d: Value = %v, want the machine's panic value", side.name, workers, pe.Value)
+			}
+			if !strings.Contains(string(pe.Stack), "(*panicMachine).Round") {
+				t.Errorf("%s cutoff, workers=%d: stack does not reach the panic site:\n%s", side.name, workers, pe.Stack)
+			}
+		}
 	}
 }

@@ -12,10 +12,12 @@ import (
 )
 
 // floodMachine learns the minimum ID in the graph by flooding; every node
-// halts after diameter+1 rounds (computed pessimistically as N rounds).
+// halts after diameter+1 rounds (computed pessimistically as N rounds), or
+// after rounds rounds when that is set.
 type floodMachine struct {
-	info NodeInfo
-	min  uint64
+	info   NodeInfo
+	min    uint64
+	rounds int
 }
 
 func (m *floodMachine) Init(info NodeInfo) {
@@ -35,6 +37,9 @@ func (m *floodMachine) Round(round int, recv []Message) ([]Message, bool) {
 	send := make([]Message, m.info.Degree())
 	for i := range send {
 		send[i] = m.min
+	}
+	if m.rounds > 0 {
+		return send, round >= m.rounds
 	}
 	return send, round >= m.info.N
 }
@@ -242,33 +247,35 @@ func TestWrongMessageCountPartialStats(t *testing.T) {
 
 // TestRunDeterministicAcrossWorkers checks the engine's determinism
 // guarantee end to end: identical machine results and identical Stats for
-// every worker count.
+// every worker count, on a torus below the inline cutoff and a complete
+// graph at it, where every Workers value but 1 shards on the pool.
 func TestRunDeterministicAcrossWorkers(t *testing.T) {
-	run := func(workers int) ([]uint64, Stats) {
-		g := graph.Torus(6, 6)
-		machines := make([]*floodMachine, g.N())
-		stats, err := Run(g, func(v int) Machine {
-			machines[v] = &floodMachine{}
-			return machines[v]
-		}, Options{IDSeed: 3, Workers: workers})
-		if err != nil {
-			t.Fatal(err)
+	for _, g := range []*graph.Graph{graph.Torus(6, 6), completeAtCutoff()} {
+		run := func(workers int) ([]uint64, Stats) {
+			machines := make([]*floodMachine, g.N())
+			stats, err := Run(g, func(v int) Machine {
+				machines[v] = &floodMachine{}
+				return machines[v]
+			}, Options{IDSeed: 3, Workers: workers})
+			if err != nil {
+				t.Fatal(err)
+			}
+			mins := make([]uint64, len(machines))
+			for v, m := range machines {
+				mins[v] = m.min
+			}
+			return mins, stats
 		}
-		mins := make([]uint64, len(machines))
-		for v, m := range machines {
-			mins[v] = m.min
-		}
-		return mins, stats
-	}
-	wantMins, wantStats := run(1)
-	for _, workers := range []int{2, 4, runtime.GOMAXPROCS(0)} {
-		mins, stats := run(workers)
-		if stats != wantStats {
-			t.Fatalf("workers=%d: stats %+v, want %+v", workers, stats, wantStats)
-		}
-		for v := range mins {
-			if mins[v] != wantMins[v] {
-				t.Fatalf("workers=%d: node %d min %d, want %d", workers, v, mins[v], wantMins[v])
+		wantMins, wantStats := run(1)
+		for _, workers := range []int{2, 4, runtime.GOMAXPROCS(0)} {
+			mins, stats := run(workers)
+			if stats != wantStats {
+				t.Fatalf("n=%d, workers=%d: stats %+v, want %+v", g.N(), workers, stats, wantStats)
+			}
+			for v := range mins {
+				if mins[v] != wantMins[v] {
+					t.Fatalf("n=%d, workers=%d: node %d min %d, want %d", g.N(), workers, v, mins[v], wantMins[v])
+				}
 			}
 		}
 	}
@@ -425,8 +432,10 @@ func (m *concurrencyProbe) Round(round int, recv []Message) ([]Message, bool) {
 	return nil, true
 }
 
+// TestMachinesRunConcurrently runs above the inline cutoff: below it, a
+// round runs on the caller alone and no overlap can occur.
 func TestMachinesRunConcurrently(t *testing.T) {
-	g := graph.Complete(8)
+	g := cycleAboveCutoff()
 	var active, maxSeen atomic.Int32
 	_, err := Run(g, func(v int) Machine {
 		return &concurrencyProbe{active: &active, maxSeen: &maxSeen}

@@ -48,20 +48,35 @@ func runtimeAllocsPerRound(t *testing.T, g *graph.Graph, workers int) float64 {
 }
 
 // TestRuntimeAllocsPerRoundIndependentOfN pins that a LOCAL round costs
-// the runtime O(1) allocations: the count per round is the same on a
-// cycle of 64 nodes and one of 4096, on the inline path and on the pool.
-// Copying any per-node table in a round (one neighbour list per node, say)
-// makes the larger cycle allocate 4032 more per round.
+// the runtime O(1) allocations on each side of the inline cutoff: the
+// count per round is the same on a cycle of 64 nodes and the largest cycle
+// below the cutoff, and the same on the smallest cycle above it and one of
+// 16384 nodes, at Workers 1 and 2. Copying any per-node table in a round
+// (one neighbour list per node, say) makes the larger cycle of either pair
+// allocate over 1300 more per round. The two pairs run on different paths
+// at Workers 2 (0 allocations inline, the engine's 2 job records on the
+// pool), so they are compared within each pair.
 func TestRuntimeAllocsPerRoundIndependentOfN(t *testing.T) {
-	for _, workers := range []int{1, 2} {
-		small := runtimeAllocsPerRound(t, graph.Cycle(64), workers)
-		large := runtimeAllocsPerRound(t, graph.Cycle(4096), workers)
-		t.Logf("workers=%d: %.2f allocs/round at n=64, %.2f at n=4096", workers, small, large)
-		if large-small > 1 || small-large > 1 {
-			t.Errorf("workers=%d: %.2f allocs/round at n=4096 vs %.2f at n=64, want equal within 1", workers, large, small)
-		}
-		if large > 4 {
-			t.Errorf("workers=%d: %.2f allocs/round, want at most 4", workers, large)
+	pairs := []struct {
+		side         string
+		small, large *graph.Graph
+	}{
+		{"below", graph.Cycle(64), cycleBelowCutoff()},
+		{"above", cycleAboveCutoff(), graph.Cycle(16384)},
+	}
+	for _, p := range pairs {
+		for _, workers := range []int{1, 2} {
+			small := runtimeAllocsPerRound(t, p.small, workers)
+			large := runtimeAllocsPerRound(t, p.large, workers)
+			t.Logf("%s cutoff, workers=%d: %.2f allocs/round at n=%d, %.2f at n=%d",
+				p.side, workers, small, p.small.N(), large, p.large.N())
+			if large-small > 1 || small-large > 1 {
+				t.Errorf("%s cutoff, workers=%d: %.2f allocs/round at n=%d vs %.2f at n=%d, want equal within 1",
+					p.side, workers, large, p.large.N(), small, p.small.N())
+			}
+			if large > 4 {
+				t.Errorf("%s cutoff, workers=%d: %.2f allocs/round, want at most 4", p.side, workers, large)
+			}
 		}
 	}
 }
@@ -93,19 +108,25 @@ func (m *addressedMachine) Round(round int, recv []Message) ([]Message, bool) {
 	return send, false
 }
 
-// TestPortsMatchNeighborIDs pins the delivery tables on an irregular
-// graph: every inbox slot is filled by the neighbour its port names.
+// TestPortsMatchNeighborIDs pins the delivery tables on irregular graphs,
+// one below the inline cutoff and one above it, so that Workers 2 delivers
+// inline on the first and in pool shards on the second: every inbox slot
+// is filled by the neighbour its port names.
 func TestPortsMatchNeighborIDs(t *testing.T) {
-	g := graph.RandomBoundedDegree(200, 500, 9, prng.New(5))
-	for _, workers := range []int{1, 2} {
-		bad := make([]int, g.N())
-		_, err := Run(g, func(v int) Machine { return &addressedMachine{bad: &bad[v]} }, Options{IDSeed: 11, Workers: workers})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for v, b := range bad {
-			if b != 0 {
-				t.Fatalf("workers=%d: node %d got %d misaddressed messages", workers, v, b)
+	for _, g := range []*graph.Graph{
+		graph.RandomBoundedDegree(200, 500, 9, prng.New(5)),
+		graph.RandomBoundedDegree(1000, 2500, 9, prng.New(5)),
+	} {
+		for _, workers := range []int{1, 2} {
+			bad := make([]int, g.N())
+			_, err := Run(g, func(v int) Machine { return &addressedMachine{bad: &bad[v]} }, Options{IDSeed: 11, Workers: workers})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for v, b := range bad {
+				if b != 0 {
+					t.Fatalf("n=%d, workers=%d: node %d got %d misaddressed messages", g.N(), workers, v, b)
+				}
 			}
 		}
 	}

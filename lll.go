@@ -55,7 +55,9 @@ type (
 	DistResult = core.DistResult
 	// PStar is the paper's per-edge bookkeeping (property P*).
 	PStar = core.PStar
-	// LocalOptions configures the LOCAL-model runtime (IDs, round limits).
+	// LocalOptions configures the LOCAL-model runtime (IDs, round limits,
+	// and Workers, a cap on the engine workers that a run too small to
+	// share ignores by running inline).
 	LocalOptions = local.Options
 	// MTResult is the outcome of a Moser-Tardos run.
 	MTResult = mt.Result

@@ -40,13 +40,38 @@ NODES="a=http://127.0.0.1:18091,b=http://127.0.0.1:18092,c=http://127.0.0.1:1809
 
 declare -A PORT=([a]=18091 [b]=18092 [c]=18093 [d]=18094)
 declare -A PID
-cleanup() {
-  # Guard every kill: an unset pid must not become `kill 0` (process group).
-  for n in a b c d; do
-    [ -n "${PID[$n]:-}" ] && kill "${PID[$n]}" 2>/dev/null || true
+# running <pid>...: succeeds while any of the processes is alive (a zombie
+# has exited, so it does not count).
+running() {
+  local p st
+  for p in "$@"; do
+    st=$(ps -o stat= -p "$p" 2>/dev/null || true)
+    case "$st" in ''|Z*) ;; *) return 0 ;; esac
   done
-  [ -n "${ROUTER_PID:-}" ] && kill "$ROUTER_PID" 2>/dev/null || true
-  [ -n "${LOAD_PID:-}" ] && kill "$LOAD_PID" 2>/dev/null || true
+  return 1
+}
+# cleanup stops every daemon and load generator still running and reaps
+# them before the script exits. A clustered llld runs its leave handoff on
+# SIGTERM first, so they get up to grace seconds before SIGKILL.
+cleanup() {
+  # Guard every pid: an unset one must not become `kill 0` (process group).
+  local pids=() n i grace=20
+  for n in a b c d; do
+    [ -n "${PID[$n]:-}" ] && pids+=("${PID[$n]}")
+  done
+  [ -n "${ROUTER_PID:-}" ] && pids+=("$ROUTER_PID")
+  [ -n "${LOAD_PID:-}" ] && pids+=("$LOAD_PID")
+  [ "${#pids[@]}" -eq 0 ] && return 0
+  kill "${pids[@]}" 2>/dev/null || true
+  for (( i = 0; i < grace * 10; i++ )); do
+    running "${pids[@]}" || break
+    sleep 0.1
+  done
+  if running "${pids[@]}"; then
+    echo "cleanup: SIGKILL after ${grace}s" >&2
+    kill -9 "${pids[@]}" 2>/dev/null || true
+  fi
+  wait "${pids[@]}" 2>/dev/null || true
   return 0
 }
 trap cleanup EXIT
@@ -165,6 +190,7 @@ echo "killed llld node $VICTIM (pid ${PID[$VICTIM]})"
 
 wait "$LOAD_PID" \
   || { echo "FAIL: lllload lost jobs across the node kill"; cat "$LOG/load_chaos.out"; exit 1; }
+LOAD_PID=
 cat "$LOG/load_chaos.out"
 
 follow "$L1" > "$LOG/long_migrated.ndjson" || true
