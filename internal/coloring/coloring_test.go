@@ -1,10 +1,12 @@
 package coloring
 
 import (
+	"reflect"
 	"testing"
 
 	"repro/internal/graph"
 	"repro/internal/local"
+	"repro/internal/obs"
 	"repro/internal/prng"
 )
 
@@ -193,6 +195,44 @@ func TestDistributedVertexColoring(t *testing.T) {
 			}
 			if res.Rounds <= 0 {
 				t.Fatal("no rounds recorded")
+			}
+		})
+	}
+}
+
+// TestColoringPooledMatchesInline runs each distributed colouring on a
+// cycle whose round work, n steps plus 2n inbox slots, reaches the inline
+// cutoff of internal/local (4096), so Workers 2 steps the machines
+// concurrently on the engine pool; the result must equal the inline
+// Workers 1 run's. Every other test here stays below the cutoff.
+func TestColoringPooledMatchesInline(t *testing.T) {
+	g := graph.Cycle(1366)
+	for _, c := range []struct {
+		name string
+		run  func(local.Options) (*Result, error)
+	}{
+		{"vertex", func(o local.Options) (*Result, error) { return DistributedVertexColoring(g, o, 3) }},
+		{"edge-native", func(o local.Options) (*Result, error) { return DistributedEdgeColoringNative(g, o) }},
+		{"distance-2", func(o local.Options) (*Result, error) { return DistributedDistance2Coloring(g, o) }},
+		{"distance-2-native", func(o local.Options) (*Result, error) { return DistributedDistance2Native(g, o) }},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			inline, err := c.run(local.Options{IDSeed: 17, Workers: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			reg := obs.NewRegistry()
+			pooled, err := c.run(local.Options{IDSeed: 17, Workers: 2, Metrics: reg})
+			if err != nil {
+				t.Fatal(err)
+			}
+			// An inline round hands the engine one shard per phase.
+			if shards, rounds := reg.Counter("engine_shards_total").Value(), reg.Counter("local_rounds_total").Value(); shards <= 2*rounds {
+				t.Fatalf("Workers 2: %d shards in %d rounds, so the rounds ran inline, not on the pool", shards, rounds)
+			}
+			if !reflect.DeepEqual(pooled, inline) {
+				t.Fatalf("Workers 2 result differs from Workers 1: palette %d vs %d, %d vs %d rounds, %d vs %d messages",
+					pooled.Palette, inline.Palette, pooled.Rounds, inline.Rounds, pooled.Messages, inline.Messages)
 			}
 		})
 	}

@@ -11,6 +11,7 @@ import (
 	"repro/internal/hypergraph"
 	"repro/internal/local"
 	"repro/internal/model"
+	"repro/internal/obs"
 	"repro/internal/prng"
 )
 
@@ -100,11 +101,31 @@ func TestDeltaRelayMatchesFlooding(t *testing.T) {
 	t.Run(c.name, func(t *testing.T) {
 		assertMatchesFlooding(t, c.inst, 3, Options{}, local.Options{IDSeed: 72, Workers: 2})
 	})
+	// Every case above runs inline in internal/local at any Workers: a
+	// round's work, n steps plus the sum of the degrees, stays below its
+	// cutoff of 4096. This one reaches it (1366 + 2·1366), so at Workers 2
+	// the colouring and fixer machines run concurrently on the engine
+	// pool, and the result must match both the flooding reference and the
+	// inline Workers 1 run.
+	c = sinklessCase(t, 1366, 2, 9)
+	t.Run(c.name, func(t *testing.T) {
+		for rank := c.rank; rank <= 3; rank++ {
+			inline := assertMatchesFlooding(t, c.inst, rank, Options{}, local.Options{IDSeed: 1366, Workers: 1})
+			reg := obs.NewRegistry()
+			pooled := assertMatchesFlooding(t, c.inst, rank, Options{}, local.Options{IDSeed: 1366, Workers: 2, Metrics: reg})
+			assertSameDistResult(t, fmt.Sprintf("FixDistributed%d/workers=2 vs 1", rank), pooled, inline)
+			// An inline round hands the engine one shard per phase.
+			if shards, rounds := reg.Counter("engine_shards_total").Value(), reg.Counter("local_rounds_total").Value(); shards <= 2*rounds {
+				t.Fatalf("FixDistributed%d at Workers 2: %d shards in %d rounds, so the rounds ran inline, not on the pool", rank, shards, rounds)
+			}
+		}
+	})
 }
 
 // assertMatchesFlooding runs FixDistributed2 (rank 2) or FixDistributed3
-// (rank 3) and the flooding reference, and compares their results.
-func assertMatchesFlooding(t *testing.T, inst *model.Instance, rank int, opts Options, lopts local.Options) {
+// (rank 3) and the flooding reference, compares their results and returns
+// the fixer's.
+func assertMatchesFlooding(t *testing.T, inst *model.Instance, rank int, opts Options, lopts local.Options) *DistResult {
 	t.Helper()
 	name := fmt.Sprintf("FixDistributed%d/strategy=%d/workers=%d", rank, opts.Strategy, lopts.Workers)
 	fix := FixDistributed3
@@ -120,6 +141,7 @@ func assertMatchesFlooding(t *testing.T, inst *model.Instance, rank int, opts Op
 		t.Fatalf("%s: reference: %v", name, err)
 	}
 	assertSameDistResult(t, name, got, want)
+	return got
 }
 
 // msgProbe wraps a fixer machine and records the largest message it sends,

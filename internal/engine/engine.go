@@ -16,8 +16,9 @@
 // any ordering between shards. Callers therefore must write results to
 // index-addressed locations (out[i] = ...) and must not let the result
 // depend on shard execution order; under that discipline results are
-// bit-for-bit identical for every worker count, which the golden-table
-// tests in internal/exp lock in.
+// bit-for-bit identical for every worker count, which internal/batch's
+// golden table and the LOCAL runtime's Workers 1-vs-2 tests on graphs above
+// its inline cutoff lock in.
 //
 // Nesting is safe: the submitting goroutine always participates in the work
 // itself and idle workers are enlisted with non-blocking handoffs, so a
