@@ -16,7 +16,7 @@
 //	curl -s localhost:8080/v1/jobs/j000001/events      # NDJSON, one line per round
 //	curl -s -X DELETE localhost:8080/v1/jobs/j000001   # cancel
 //
-// Batch many instances into one job (packed engine runs + result cache):
+// Batch many instances into one job (in-batch dedup + result cache):
 //
 //	curl -s -X POST localhost:8080/v1/jobs/batch \
 //	  -d '{"template":{"family":"sinkless","n":256,"algorithm":"mtpar"},"count":50,"vary_seed":true,"cache":true}'

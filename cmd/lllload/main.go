@@ -34,8 +34,8 @@
 // followed to a terminal state.
 //
 // -batch N switches every submission to POST /v1/jobs/batch: the -spec
-// becomes the template of an N-instance batch job (packed into shared
-// engine runs daemon-side). -cache opts submissions into the daemon's
+// becomes the template of an N-instance batch job (its distinct instances
+// solved concurrently daemon-side). -cache opts submissions into the daemon's
 // canonical result cache; combined with -vary-seed=false every submission
 // is identical and all but the first are served from the cache — the
 // cache/single-flight exercise. -batch cannot be combined with -chaos

@@ -14,7 +14,6 @@ import (
 	"repro/internal/hypergraph"
 	"repro/internal/model"
 	"repro/internal/mt"
-	"repro/internal/obs"
 	"repro/internal/prng"
 )
 
@@ -116,41 +115,6 @@ func TestRunParallelMTMatchesSolo(t *testing.T) {
 	}
 }
 
-func TestRunSequentialMTMatchesSolo(t *testing.T) {
-	insts := testInstances(t)
-	seeds := testSeeds(len(insts))
-	const maxResamplings = 10_000
-
-	solo := make([]*mt.Result, len(insts))
-	for k, inst := range insts {
-		res, err := mt.Sequential(inst, prng.New(seeds[k]), maxResamplings)
-		if err != nil {
-			t.Fatalf("solo sequential %d: %v", k, err)
-		}
-		solo[k] = res
-	}
-
-	p := batch.Pack(insts)
-	for _, w := range workerCounts() {
-		pool := engine.New(w)
-		results, err := batch.RunSequentialMT(p, seeds, batch.Options{Pool: pool, MaxResamplings: maxResamplings})
-		pool.Close()
-		if err != nil {
-			t.Fatalf("workers=%d: %v", w, err)
-		}
-		for k, r := range results {
-			if r.Err != nil {
-				t.Fatalf("workers=%d instance %d: %v", w, k, r.Err)
-			}
-			if r.Satisfied != solo[k].Satisfied || r.Resamplings != solo[k].Resamplings {
-				t.Fatalf("workers=%d instance %d: (sat=%v res=%d), solo (sat=%v res=%d)",
-					w, k, r.Satisfied, r.Resamplings, solo[k].Satisfied, solo[k].Resamplings)
-			}
-			sameValues(t, "sequential assignment", solo[k].Assignment, r.Assignment)
-		}
-	}
-}
-
 // alwaysViolated is a one-variable instance whose single event always
 // occurs, forcing the budget-exhaustion path of the packed runners.
 func alwaysViolated(t *testing.T) *model.Instance {
@@ -204,71 +168,6 @@ func TestBudgetExhaustionMatchesSolo(t *testing.T) {
 			t.Fatalf("exhausted instance reports %d violated events, want 1", results[0].ViolatedEvents)
 		}
 	})
-
-	t.Run("sequential", func(t *testing.T) {
-		const maxResamplings = 9
-		solo := make([]*mt.Result, len(insts))
-		for k, inst := range insts {
-			solo[k], err = mt.Sequential(inst, prng.New(seeds[k]), maxResamplings)
-			if err != nil {
-				t.Fatal(err)
-			}
-		}
-		if solo[0].Satisfied {
-			t.Fatal("always-violated instance reported satisfied")
-		}
-		results, err := batch.RunSequentialMT(batch.Pack(insts), seeds, batch.Options{MaxResamplings: maxResamplings})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for k, r := range results {
-			if r.Satisfied != solo[k].Satisfied || r.Resamplings != solo[k].Resamplings {
-				t.Fatalf("instance %d: (sat=%v res=%d), solo (sat=%v res=%d)",
-					k, r.Satisfied, r.Resamplings, solo[k].Satisfied, solo[k].Resamplings)
-			}
-			sameValues(t, "assignment", solo[k].Assignment, r.Assignment)
-		}
-	})
-}
-
-func TestRunOneShotMatchesSolo(t *testing.T) {
-	insts := testInstances(t)
-	seeds := testSeeds(len(insts))
-
-	type oneShot struct {
-		a        *model.Assignment
-		violated int
-	}
-	solo := make([]oneShot, len(insts))
-	for k, inst := range insts {
-		a, violated, err := mt.OneShot(inst, prng.New(seeds[k]))
-		if err != nil {
-			t.Fatalf("solo one-shot %d: %v", k, err)
-		}
-		solo[k] = oneShot{a, violated}
-	}
-
-	p := batch.Pack(insts)
-	for _, w := range workerCounts() {
-		pool := engine.New(w)
-		results, err := batch.RunOneShot(p, seeds, batch.Options{Pool: pool})
-		pool.Close()
-		if err != nil {
-			t.Fatalf("workers=%d: %v", w, err)
-		}
-		for k, r := range results {
-			if r.Err != nil {
-				t.Fatalf("workers=%d instance %d: %v", w, k, r.Err)
-			}
-			if r.ViolatedEvents != solo[k].violated {
-				t.Fatalf("workers=%d instance %d: %d violated, solo %d", w, k, r.ViolatedEvents, solo[k].violated)
-			}
-			if r.Satisfied != (solo[k].violated == 0) {
-				t.Fatalf("workers=%d instance %d: satisfied=%v with %d violated", w, k, r.Satisfied, solo[k].violated)
-			}
-			sameValues(t, "one-shot assignment", solo[k].a, r.Assignment)
-		}
-	}
 }
 
 func TestRunFixSequentialMatchesSolo(t *testing.T) {
@@ -334,58 +233,6 @@ func TestCancellationReturnsPartialResults(t *testing.T) {
 	}
 	if results[0].Satisfied {
 		t.Fatal("cancelled instance must not report satisfied")
-	}
-}
-
-func TestBatchMetrics(t *testing.T) {
-	reg := obs.NewRegistry()
-	insts := testInstances(t)
-	_, err := batch.RunParallelMT(batch.Pack(insts), testSeeds(len(insts)), batch.Options{Metrics: reg})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := reg.Counter("batch_runs_total").Value(); got != 1 {
-		t.Fatalf("batch_runs_total = %d, want 1", got)
-	}
-	if got := reg.Counter("batch_instances_total").Value(); got != int64(len(insts)) {
-		t.Fatalf("batch_instances_total = %d, want %d", got, len(insts))
-	}
-	if got := reg.Counter("batch_rounds_total").Value(); got < 1 {
-		t.Fatalf("batch_rounds_total = %d, want >= 1", got)
-	}
-	if got := reg.Gauge("batch_instances_active").Value(); got != 0 {
-		t.Fatalf("batch_instances_active = %v after the run, want 0", got)
-	}
-	if got := reg.Histogram("batch_size", obs.CountBuckets).Count(); got != 1 {
-		t.Fatalf("batch_size count = %d, want 1", got)
-	}
-}
-
-// TestOnRoundAggregates checks the deterministic per-round stream: Halted
-// sums to the instance count and Steps sums to the total resamplings.
-func TestOnRoundAggregates(t *testing.T) {
-	insts := testInstances(t)
-	seeds := testSeeds(len(insts))
-	var halted, steps int
-	results, err := batch.RunParallelMT(batch.Pack(insts), seeds, batch.Options{
-		MaxRounds: 500,
-		OnRound: func(rs engine.RoundStats) {
-			halted += rs.Halted
-			steps += rs.Steps
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if halted != len(insts) {
-		t.Fatalf("OnRound reported %d halted instances, want %d", halted, len(insts))
-	}
-	total := 0
-	for _, r := range results {
-		total += r.Resamplings
-	}
-	if steps != total {
-		t.Fatalf("OnRound reported %d steps, results sum to %d", steps, total)
 	}
 }
 

@@ -33,10 +33,10 @@ func benchSeeds(count int) []uint64 {
 
 // BenchmarkPackedBatch measures the packing amortization directly at
 // n = 1000: "one" is a single instance, "solo-64" runs 64 distinct
-// instances as 64 separate engine runs (the pre-batching serving path),
-// "packed-64" runs the same 64 instances as one packed run. Packing pays
-// the per-round pool dispatch and termination scan once per packed round
-// instead of once per instance per round.
+// instances as 64 separate engine runs (as the service runs a batch's
+// distinct instances), "packed-64" runs the same 64 instances as one packed
+// run. Packing pays the per-round pool dispatch and termination scan once
+// per packed round instead of once per instance per round.
 func BenchmarkPackedBatch(b *testing.B) {
 	const n = 1000
 	check := func(b *testing.B, results []Result, err error) {

@@ -1,23 +1,24 @@
 // Package batch packs many small LLL instances into one engine run and
-// canonicalizes instances for result caching.
+// fingerprints instances up to isomorphism. No served request runs any of
+// it: the service runs every batch instance through its solo path, and its
+// result cache keys on a fold of the job spec. The package is kept only for
+// the per-layer metrics of the end-to-end benchmark (perfbench's
+// batch.packed_ms, batch.solo_ms and cache.key_ms), and goes once those
+// metrics are retired.
 //
-// The serving path (internal/service) runs every job as its own sequence of
-// engine dispatches, so small instances pay a full pool round-trip per scan
-// round. Pack concatenates the event spaces of disjoint instances into one
-// global index range; the packed runners then cover the union with a single
-// sharded scan per round (engine.ForEachSegments), amortizing dispatch
-// across the whole batch while each instance keeps its own assignment, its
-// own RNG stream and its own round/resampling budget. The per-instance
+// Pack concatenates the event spaces of disjoint instances into one global
+// index range. RunParallelMT covers the union with a single sharded scan per
+// round (engine.ForEachSegments), while each instance keeps its own
+// assignment, its own RNG stream and its own round budget; RunFixSequential
+// runs the deterministic fixer across instances on the pool. Per-instance
 // results are bit-for-bit identical to solo runs with the same seed — the
 // packed scan is read-only and index-addressed, and every random draw
 // happens on the instance's private generator in the solo order — which the
-// equivalence tests in this package lock in.
+// equivalence tests and the golden table in this package lock in.
 //
 // Hash computes a canonical, isomorphism-stable fingerprint of an instance
 // (Weisfeiler-Leman color refinement over the dependency graph, seeded with
-// per-event structural invariants). The service's result cache keys on it,
-// so spec variations that cannot change the result — worker counts, retry
-// budgets, field ordering — collapse onto one cache entry.
+// per-event structural invariants).
 package batch
 
 import (
@@ -119,11 +120,10 @@ func eventSignature(inst *model.Instance, id int, varSig []uint64, empty *model.
 // variable signatures.
 //
 // Like every WL-style invariant it is complete only up to WL
-// distinguishability, and 64 bits can collide; callers that need exactness
-// (the service result cache) additionally fold the generation seed and
-// parameters into their key, so a collision requires two DIFFERENT
-// instances built from the SAME spec — which cannot happen, the builders
-// are deterministic.
+// distinguishability, and 64 bits can collide; a caller that needs
+// exactness must also fold the generation seed and parameters into its key,
+// so a collision requires two DIFFERENT instances built from the SAME spec
+// — which cannot happen, the builders are deterministic.
 func Hash(inst *model.Instance) uint64 {
 	n, m := inst.NumVars(), inst.NumEvents()
 	empty := model.NewAssignment(inst)

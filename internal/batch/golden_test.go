@@ -73,13 +73,13 @@ func assignmentHash(a *model.Assignment) uint64 {
 	return h
 }
 
-// renderBatchTable runs the golden workload through every packable
-// algorithm on the given pool and renders one CSV.
+// renderBatchTable runs the golden workload through both packed runners on
+// the given pool and renders one CSV.
 func renderBatchTable(t *testing.T, pool *engine.Pool) []byte {
 	t.Helper()
 	insts, names, seeds := goldenWorkload(t)
 	p := batch.Pack(insts)
-	opts := batch.Options{Pool: pool, MaxRounds: 500, MaxResamplings: 10_000}
+	opts := batch.Options{Pool: pool, MaxRounds: 500}
 
 	var buf bytes.Buffer
 	buf.WriteString("alg,instance,seed,satisfied,violated,rounds,resamplings,vars_fixed,assignment\n")
@@ -98,20 +98,6 @@ func renderBatchTable(t *testing.T, pool *engine.Pool) []byte {
 	}
 	for k, r := range par {
 		emit("mt-parallel", k, r)
-	}
-	seq, err := batch.RunSequentialMT(p, seeds, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for k, r := range seq {
-		emit("mt-sequential", k, r)
-	}
-	one, err := batch.RunOneShot(p, seeds, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for k, r := range one {
-		emit("one-shot", k, r)
 	}
 	fix, err := batch.RunFixSequential(p, opts)
 	if err != nil {

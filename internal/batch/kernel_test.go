@@ -11,10 +11,9 @@ import (
 // The batch layer adopts the compiled kernels all-or-nothing per packed
 // batch: when every instance compiles, the violated scan runs word-parallel
 // over one shared bitset in packed word space, and resampling writes through
-// to the packed mirrors. These tests pit that path against the generic one
-// (kernel.SetEnabled(false)) and demand identical per-instance results —
-// same values, same counters — at every worker count, which also re-proves
-// the canonical-result cache keys are path-independent.
+// to the packed mirrors. The test below pits that path against the generic
+// one (kernel.SetEnabled(false)) and demands identical per-instance results —
+// same values, same counters — at every worker count.
 
 // runBoth executes fn with kernels enabled and disabled and returns both
 // result sets.
@@ -63,23 +62,5 @@ func TestBatchParallelKernelMatchesGeneric(t *testing.T) {
 		})
 		pool.Close()
 		assertSameBatch(t, "parallel", on, off)
-	}
-}
-
-// TestBatchSequentialKernelMatchesGeneric is the sequential counterpart.
-func TestBatchSequentialKernelMatchesGeneric(t *testing.T) {
-	insts := testInstances(t)
-	seeds := testSeeds(len(insts))
-	for _, workers := range workerCounts() {
-		pool := engine.New(workers)
-		on, off := runBoth(t, func(t *testing.T) []batch.Result {
-			results, err := batch.RunSequentialMT(batch.Pack(insts), seeds, batch.Options{Pool: pool})
-			if err != nil {
-				t.Fatal(err)
-			}
-			return results
-		})
-		pool.Close()
-		assertSameBatch(t, "sequential", on, off)
 	}
 }

@@ -9,15 +9,11 @@ import (
 	"repro/internal/engine"
 	"repro/internal/kernel"
 	"repro/internal/model"
-	"repro/internal/obs"
 	"repro/internal/prng"
 )
 
-// Default per-instance budgets, mirroring internal/mt.
-const (
-	defaultMaxRounds      = 100_000
-	defaultMaxResamplings = 1_000_000
-)
+// defaultMaxRounds is the per-instance round budget, mirroring mt.Parallel.
+const defaultMaxRounds = 100_000
 
 // Options parameterizes the packed runners. The zero value runs on the
 // shared engine pool with the library-default budgets.
@@ -33,18 +29,6 @@ type Options struct {
 	// MaxRounds caps each instance's parallel resampling rounds
 	// (RunParallelMT); 0 means 100000, matching mt.Parallel.
 	MaxRounds int
-	// MaxResamplings caps each instance's sequential resamplings
-	// (RunSequentialMT); 0 means 1000000, matching mt.Sequential.
-	MaxResamplings int
-	// OnRound, when non-nil, observes every packed round with aggregate
-	// deterministic stats: Steps is the total resamplings of the round,
-	// Active the total violated events seen by the round's scan, Halted the
-	// instances that finished this round. Worker-count independent.
-	OnRound func(engine.RoundStats)
-	// Metrics, when non-nil, receives the batch_* metric families. All obs
-	// instruments are nil-safe, so a nil registry disables them at zero
-	// cost.
-	Metrics *obs.Registry
 	// Core configures the deterministic fixer for RunFixSequential.
 	// Checkpoint and Trace fields must be left unset (instances run
 	// concurrently and would interleave on them).
@@ -65,9 +49,9 @@ func (o Options) pool() *engine.Pool {
 	return engine.Shared()
 }
 
-// Result is the unpacked outcome of one instance of a packed run. For the
-// randomized runners it is bit-identical (assignment included) to the solo
-// run of the same algorithm with the same seed.
+// Result is the unpacked outcome of one instance of a packed run. It is
+// bit-identical (assignment included) to the solo run of the same algorithm,
+// with the same seed for RunParallelMT.
 type Result struct {
 	// Satisfied reports whether the final assignment avoids all bad events.
 	Satisfied bool
@@ -86,25 +70,6 @@ type Result struct {
 	// Err is the instance's own failure, if any; other instances of the
 	// batch are unaffected.
 	Err error
-}
-
-// batchObs are the batch_* instruments.
-type batchObs struct {
-	runs      *obs.Counter
-	instances *obs.Counter
-	rounds    *obs.Counter
-	active    *obs.Gauge
-	size      *obs.Histogram
-}
-
-func newBatchObs(reg *obs.Registry) batchObs {
-	return batchObs{
-		runs:      reg.Counter("batch_runs_total"),
-		instances: reg.Counter("batch_instances_total"),
-		rounds:    reg.Counter("batch_rounds_total"),
-		active:    reg.Gauge("batch_instances_active"),
-		size:      reg.Histogram("batch_size", obs.CountBuckets),
-	}
 }
 
 // sampleAll draws every variable of inst in identifier order, exactly like
@@ -132,8 +97,7 @@ func (st *packedState) resample(k, id int) {
 	}
 }
 
-// packedState is the shared round-loop state of the randomized packed
-// runners.
+// packedState is RunParallelMT's round-loop state.
 type packedState struct {
 	p       *Packed
 	pool    *engine.Pool
@@ -147,7 +111,6 @@ type packedState struct {
 	// the generic scan only; the kernel scan uses the packed bitset below.
 	bad  []bool
 	errs []error
-	obs  batchObs
 	// Kernel state, used when EVERY packed instance compiles (nil slices
 	// otherwise, and the batch runs the generic path): per-instance
 	// compiled kernels and packed assignment mirrors, plus the violated
@@ -174,7 +137,6 @@ func newPackedState(p *Packed, seeds []uint64, o Options) (*packedState, error) 
 		nActive: p.Len(),
 		bad:     make([]bool, p.TotalEvents()),
 		errs:    make([]error, p.TotalEvents()),
-		obs:     newBatchObs(o.Metrics),
 	}
 	for k := 0; k < p.Len(); k++ {
 		st.rngs[k] = prng.New(seeds[k])
@@ -202,10 +164,6 @@ func newPackedState(p *Packed, seeds []uint64, o Options) (*packedState, error) 
 			st.kbits = make([]uint64, st.wordOff[p.Len()])
 		}
 	}
-	st.obs.runs.Inc()
-	st.obs.instances.Add(int64(p.Len()))
-	st.obs.size.Observe(float64(p.Len()))
-	st.obs.active.Set(float64(st.nActive))
 	return st, nil
 }
 
@@ -272,7 +230,6 @@ func (st *packedState) violated(k int, buf []int) ([]int, error) {
 func (st *packedState) finish(k int) {
 	st.active[k] = false
 	st.nActive--
-	st.obs.active.Set(float64(st.nActive))
 }
 
 // cancelAll finalizes every still-active instance with the partial state it
@@ -304,14 +261,12 @@ func RunParallelMT(p *Packed, seeds []uint64, o Options) ([]Result, error) {
 	}
 	ctx := o.ctx()
 	var buf []int
-	for globalRound := 1; st.nActive > 0; globalRound++ {
+	for st.nActive > 0 {
 		if cerr := ctx.Err(); cerr != nil {
 			st.cancelAll()
 			return st.results, fmt.Errorf("batch: parallel resampler cancelled: %w", cerr)
 		}
 		st.scan()
-		st.obs.rounds.Inc()
-		steps, violatedTotal, halted := 0, 0, 0
 		for k := 0; k < p.Len(); k++ {
 			if !st.active[k] {
 				continue
@@ -322,19 +277,15 @@ func RunParallelMT(p *Packed, seeds []uint64, o Options) ([]Result, error) {
 			if verr != nil {
 				res.Err = verr
 				st.finish(k)
-				halted++
 				continue
 			}
-			violatedTotal += len(buf)
 			switch {
 			case len(buf) == 0:
 				res.Satisfied = true
 				st.finish(k)
-				halted++
 			case res.Rounds == maxRounds:
 				res.ViolatedEvents = len(buf)
 				st.finish(k)
-				halted++
 			default:
 				res.Rounds++
 				if st.kerns != nil {
@@ -343,7 +294,6 @@ func RunParallelMT(p *Packed, seeds []uint64, o Options) ([]Result, error) {
 						if !c.HasLowerViolatedNeighbor(vb, id) {
 							st.resample(k, id)
 							res.Resamplings++
-							steps++
 						}
 					}
 					break
@@ -364,107 +314,10 @@ func RunParallelMT(p *Packed, seeds []uint64, o Options) ([]Result, error) {
 					if minimum {
 						st.resample(k, id)
 						res.Resamplings++
-						steps++
 					}
 				}
 			}
 		}
-		if o.OnRound != nil {
-			o.OnRound(engine.RoundStats{Round: globalRound, Steps: steps, Active: violatedTotal, Halted: halted})
-		}
-	}
-	return st.results, nil
-}
-
-// RunSequentialMT runs the sequential Moser-Tardos resampler on every
-// packed instance in lockstep: each global iteration scans all active
-// instances in one sharded pass, then every active instance resamples its
-// lowest-indexed violated event on its private RNG. Per instance the scan
-// results, draws and termination are exactly the solo sequence, so
-// Result k is bit-identical to
-// mt.Sequential(inst, prng.New(seeds[k]), opts.MaxResamplings).
-func RunSequentialMT(p *Packed, seeds []uint64, o Options) ([]Result, error) {
-	st, err := newPackedState(p, seeds, o)
-	if err != nil {
-		return nil, err
-	}
-	maxResamplings := o.MaxResamplings
-	if maxResamplings == 0 {
-		maxResamplings = defaultMaxResamplings
-	}
-	ctx := o.ctx()
-	var buf []int
-	for globalRound := 1; st.nActive > 0; globalRound++ {
-		if cerr := ctx.Err(); cerr != nil {
-			st.cancelAll()
-			return st.results, fmt.Errorf("batch: sequential resampler cancelled: %w", cerr)
-		}
-		st.scan()
-		st.obs.rounds.Inc()
-		steps, violatedTotal, halted := 0, 0, 0
-		for k := 0; k < p.Len(); k++ {
-			if !st.active[k] {
-				continue
-			}
-			res := &st.results[k]
-			var verr error
-			buf, verr = st.violated(k, buf)
-			if verr != nil {
-				res.Err = verr
-				st.finish(k)
-				halted++
-				continue
-			}
-			violatedTotal += len(buf)
-			switch {
-			case len(buf) == 0:
-				res.Satisfied = true
-				st.finish(k)
-				halted++
-			case res.Resamplings == maxResamplings:
-				res.ViolatedEvents = len(buf)
-				st.finish(k)
-				halted++
-			default:
-				st.resample(k, buf[0])
-				res.Resamplings++
-				steps++
-			}
-		}
-		if o.OnRound != nil {
-			o.OnRound(engine.RoundStats{Round: globalRound, Steps: steps, Active: violatedTotal, Halted: halted})
-		}
-	}
-	return st.results, nil
-}
-
-// RunOneShot draws one sample per instance and counts violated events with
-// a single packed scan. Result k is bit-identical to
-// mt.OneShot(inst, prng.New(seeds[k])).
-func RunOneShot(p *Packed, seeds []uint64, o Options) ([]Result, error) {
-	st, err := newPackedState(p, seeds, o)
-	if err != nil {
-		return nil, err
-	}
-	if cerr := o.ctx().Err(); cerr != nil {
-		st.cancelAll()
-		return st.results, cerr
-	}
-	st.scan()
-	st.obs.rounds.Inc()
-	for k := 0; k < p.Len(); k++ {
-		res := &st.results[k]
-		violated, verr := st.violated(k, nil)
-		if verr != nil {
-			res.Err = verr
-		} else {
-			res.ViolatedEvents = len(violated)
-			res.Satisfied = len(violated) == 0
-		}
-		st.finish(k)
-	}
-	if o.OnRound != nil {
-		o.OnRound(engine.RoundStats{Round: 1, Active: 0, Halted: p.Len()})
 	}
 	return st.results, nil
 }
@@ -478,10 +331,6 @@ func RunFixSequential(p *Packed, o Options) ([]Result, error) {
 	if o.Core.Trace != nil || o.Core.OnCheckpoint != nil || o.Core.Resume != nil {
 		return nil, fmt.Errorf("batch: core trace/checkpoint options are not supported in packed runs")
 	}
-	bo := newBatchObs(o.Metrics)
-	bo.runs.Inc()
-	bo.instances.Add(int64(p.Len()))
-	bo.size.Observe(float64(p.Len()))
 	results := make([]Result, p.Len())
 	ctx := o.ctx()
 	copts := o.Core

@@ -2,54 +2,30 @@ package service
 
 import (
 	"context"
-	"fmt"
+	"errors"
 	"runtime"
 
-	"repro/internal/batch"
 	"repro/internal/engine"
 	"repro/internal/fault"
-	"repro/internal/model"
 )
-
-// batchAlgorithms that pack into shared engine runs. The LOCAL-model
-// algorithms (dist, mtdist) hold their state per simulated node with
-// identifiers drawn over the whole node range, so packing would change
-// their results; batch jobs run them per instance instead.
-func packable(alg string) bool {
-	switch alg {
-	case AlgMTPar, AlgMTSeq, AlgOneShot, AlgSeq:
-		return true
-	}
-	return false
-}
-
-// groupKey buckets batch instances that can share one packed engine run:
-// same algorithm, same termination budgets.
-type groupKey struct {
-	alg                                string
-	maxRounds, maxResamplings, maxIter int
-}
 
 // batchItem is one batch instance flowing through runBatch.
 type batchItem struct {
 	idx  int // 0-based batch position
 	spec JobSpec
-	inst *model.Instance // built when its group runs, released when it ends
-	key  uint64          // cache key; valid iff cacheable
-	pkey groupKey
+	key  uint64 // cache key; valid iff cacheable
 }
 
 // runBatch executes a batch job: every cache-eligible instance is first
-// looked up in the result cache by its spec key; the misses are
-// deduplicated in-batch by cache key, grouped by algorithm and budget, and
-// each group builds its instances, runs as ONE packed engine run
-// (internal/batch) whose per-instance results are bit-identical to solo
-// jobs with the same spec, and releases them — so entries written by a
-// batch populate the cache for later solo jobs and vice versa, and only one
-// group's instances are alive at a time. The LOCAL-model algorithms fall
-// back to per-instance solo runs inside the batch job. Aggregate "round"
-// events stream per packed round and one "instance_end" event per
-// instance, multiplexed by Event.Instance (1-based).
+// looked up in the result cache by its spec key, and identical misses are
+// deduplicated in-batch by that key. Each remaining leader then runs through
+// runSolo — the RunSpec path of a solo job — concurrently on the job's
+// engine pool, so a batch instance's result is the solo result of its spec,
+// and entries written by a batch serve later solo jobs and vice versa. The
+// NDJSON stream is multiplexed by Event.Instance (1-based): each leader's
+// own "round" events while the leaders run, then one "instance_end" per
+// leader and per duplicate, in batch order, once every leader has finished
+// (cache hits end during the lookup).
 func (s *Service) runBatch(ctx context.Context, js JobSpec, att Attempt, emit func(Event)) (*Summary, error) {
 	subs := js.Batch
 	sum := &Summary{
@@ -61,10 +37,10 @@ func (s *Service) runBatch(ctx context.Context, js JobSpec, att Attempt, emit fu
 		sum.Instances[i] = InstanceSummary{Index: i + 1, Algorithm: subs[i].Algorithm, Seed: subs[i].Seed}
 	}
 
-	// Resolve the engine pool for the builds and packed runs: the job-level
-	// Workers field (clamped by the service cap), defaulting to the shared
-	// pool. Worker count never changes results (engine determinism
-	// contract).
+	// Resolve the engine pool the leaders run on: the job-level Workers
+	// field (clamped by the service cap), defaulting to the shared pool.
+	// With one worker the leaders run one at a time on the caller. Worker
+	// count never changes results: each leader writes only its own slot.
 	workers := js.Workers
 	if s.cfg.MaxWorkersPerJob > 0 && (workers == 0 || workers > s.cfg.MaxWorkersPerJob) {
 		workers = s.cfg.MaxWorkersPerJob
@@ -104,7 +80,6 @@ func (s *Service) runBatch(ctx context.Context, js JobSpec, att Attempt, emit fu
 		}
 		sub := subs[i]
 		it := &batchItem{idx: i, spec: sub}
-		it.pkey = groupKey{alg: sub.Algorithm, maxRounds: sub.MaxRounds, maxResamplings: sub.MaxResamplings, maxIter: sub.MaxIters}
 		if s.cacheable(sub) {
 			it.key = cacheKey(sub)
 			if cached, ok := s.cache.get(it.key); ok {
@@ -126,141 +101,61 @@ func (s *Service) runBatch(ctx context.Context, js JobSpec, att Attempt, emit fu
 	}
 	psp.End()
 
-	// Phase 2: group the misses and run each group as one packed engine
-	// run (or per-instance for the LOCAL algorithms). Groups run
-	// sequentially so their round streams do not interleave.
-	groups := make(map[groupKey][]*batchItem)
-	var order []groupKey
-	for _, it := range leaders {
-		if _, ok := groups[it.pkey]; !ok {
-			order = append(order, it.pkey)
-		}
-		groups[it.pkey] = append(groups[it.pkey], it)
+	// Phase 2: run the leaders concurrently on the pool, each into its own
+	// slot; RunSpec builds each instance itself. A cancelled batch starts
+	// no more leaders.
+	type leaderRun struct {
+		sum     *Summary
+		err     error
+		started bool
 	}
+	runs := make([]leaderRun, len(leaders))
+	pool.ForEach(len(leaders), func(i int) {
+		if ctx.Err() != nil {
+			return
+		}
+		r := &runs[i]
+		r.started = true
+		r.sum, r.err = s.runSolo(ctx, leaders[i], att, emit)
+	})
 
-	// built adds a leader's instance size to the aggregate once for the
-	// leader and once for each of its in-batch duplicates.
-	built := func(it *batchItem, numEvents, numVars int) {
-		n := 1 + len(followers[it.key])
-		sum.NumEvents += n * numEvents
-		sum.NumVars += n * numVars
-	}
-	complete := func(it *batchItem, isum *Summary, err error) {
-		stored := err == nil && isum != nil && !isum.Partial && s.cacheable(it.spec)
-		if stored {
-			s.cache.put(it.key, isum)
-		}
-		finishInstance(it, isum, err)
-		for _, f := range followers[it.key] {
-			if err != nil {
-				finishInstance(f, nil, err)
-				continue
-			}
-			// A follower is a cache hit only if the leader's result actually
-			// went into the cache; a partial result (cancelled mid-run) fans
-			// out as a plain copy.
-			dup := cloneSummary(isum)
-			dup.CacheHit = stored
-			finishInstance(f, dup, nil)
-		}
-	}
-
+	// Phase 3: complete the leaders in batch order — store the result, end
+	// the leader, then its in-batch duplicates — and add each size to the
+	// aggregate once per copy. The batch ends cancelled only if cancellation
+	// skipped or stopped a leader, so a cancel that lands after the last
+	// leader finished leaves a finished batch done.
 	var runErr error
-	onRound := func(rs engine.RoundStats) {
-		emit(Event{
-			Kind: "round", Round: rs.Round, Steps: rs.Steps,
-			Messages: rs.Messages, Active: rs.Active, Halted: rs.Halted,
-			Dropped: rs.Dropped, Crashed: rs.Crashed,
-		})
-	}
-	for _, gk := range order {
-		if runErr == nil {
-			runErr = ctx.Err()
-		}
-		if runErr != nil {
-			break
-		}
-		items := groups[gk]
-		// Each packing group gets its own sibling span; gctx parents the
-		// group's build and its packed (or solo) runs to it.
-		gsp, gctx := s.cfg.Trace.StartSpan(ctx, "batch_group:"+gk.alg)
-		if !packable(gk.alg) {
-			// RunSpec builds each instance itself.
-			for _, it := range items {
-				isum, err := s.runSolo(gctx, it, att, emit)
-				if isum != nil {
-					built(it, isum.NumEvents, isum.NumVars)
-				}
-				complete(it, isum, err)
-				if err != nil && ctx.Err() != nil {
-					runErr = err
-					break
-				}
+	for i, it := range leaders {
+		r := runs[i]
+		if !r.started {
+			if runErr == nil {
+				runErr = ctx.Err()
 			}
-			gsp.End()
 			continue
 		}
-		// Build the group's instances in parallel on the job's pool. Each
-		// build writes only its own slot, so nothing depends on the worker
-		// count. A build error fails that instance (and its duplicates)
-		// alone, with the error text a solo job reports.
-		errs := make([]error, len(items))
-		bsp, _ := s.cfg.Trace.StartSpan(gctx, "build_instance")
-		pool.ForEach(len(items), func(i int) {
-			items[i].inst, errs[i] = buildInstance(items[i].spec)
-		})
-		bsp.End()
-		var run []*batchItem
-		var insts []*model.Instance
-		var seeds []uint64
-		for i, it := range items {
-			if errs[i] != nil {
-				complete(it, nil, fmt.Errorf("building instance: %w", errs[i]))
+		if r.sum != nil {
+			n := 1 + len(followers[it.key])
+			sum.NumEvents += n * r.sum.NumEvents
+			sum.NumVars += n * r.sum.NumVars
+		}
+		if r.err == nil && s.cacheable(it.spec) {
+			s.cache.put(it.key, r.sum)
+		}
+		finishInstance(it, r.sum, r.err)
+		for _, f := range followers[it.key] {
+			if r.err != nil {
+				finishInstance(f, nil, r.err)
 				continue
 			}
-			built(it, it.inst.NumEvents(), it.inst.NumVars())
-			run = append(run, it)
-			insts = append(insts, it.inst)
-			seeds = append(seeds, it.spec.Seed)
+			// Followers exist only for cacheable leaders, so the leader's
+			// result is in the cache now.
+			dup := cloneSummary(r.sum)
+			dup.CacheHit = true
+			finishInstance(f, dup, nil)
 		}
-		if len(run) > 0 {
-			packed := batch.Pack(insts)
-			opts := batch.Options{
-				Ctx:            gctx,
-				Pool:           pool,
-				MaxRounds:      gk.maxRounds,
-				MaxResamplings: gk.maxResamplings,
-				OnRound:        onRound,
-				Metrics:        s.cfg.Metrics,
-			}
-			var results []batch.Result
-			switch gk.alg {
-			case AlgMTPar:
-				results, runErr = batch.RunParallelMT(packed, seeds, opts)
-			case AlgMTSeq:
-				results, runErr = batch.RunSequentialMT(packed, seeds, opts)
-			case AlgOneShot:
-				results, runErr = batch.RunOneShot(packed, seeds, opts)
-			case AlgSeq:
-				results, runErr = batch.RunFixSequential(packed, opts)
-			}
-			for i, it := range run {
-				if results == nil {
-					complete(it, nil, runErr)
-					continue
-				}
-				isum := packedSummary(it, results[i])
-				if runErr != nil {
-					isum.Partial = true
-				}
-				complete(it, isum, results[i].Err)
-			}
+		if cerr := ctx.Err(); runErr == nil && cerr != nil && errors.Is(r.err, cerr) {
+			runErr = r.err
 		}
-		// Release the group's instances before the next group builds.
-		for _, it := range items {
-			it.inst = nil
-		}
-		gsp.End()
 	}
 
 	// Aggregate. ViolatedEvents stays -1 (unknown) only if no instance
@@ -284,11 +179,13 @@ func (s *Service) runBatch(ctx context.Context, js JobSpec, att Attempt, emit fu
 	return sum, runErr
 }
 
-// runSolo executes one non-packable batch instance through the ordinary
-// single-job path, tagging its round events with the instance id. The batch
-// job's real attempt number is carried through so fault injection derives a
-// fresh pattern on every batch retry, like solo jobs; per-instance
-// checkpoints are dropped (the batch job record holds no sub-job state).
+// runSolo executes one batch leader through the ordinary single-job path,
+// RunSpec, tagging every event it emits (its "round" events included) with
+// the instance id. The batch job's real attempt number is carried through so
+// fault injection derives a fresh pattern on every batch retry, like solo
+// jobs; per-instance checkpoints are dropped (the batch job record holds no
+// sub-job state). Leaders run concurrently, so emit must be safe for
+// concurrent use, as Job.Emit is.
 func (s *Service) runSolo(ctx context.Context, it *batchItem, att Attempt, emit func(Event)) (*Summary, error) {
 	taggedEmit := func(e Event) {
 		e.Instance = it.idx + 1
@@ -296,23 +193,4 @@ func (s *Service) runSolo(ctx context.Context, it *batchItem, att Attempt, emit 
 	}
 	subAtt := Attempt{Number: att.Number, SaveCheckpoint: func(*fault.Checkpoint) {}}
 	return RunSpec(ctx, it.spec, subAtt, taggedEmit, s.runOpts)
-}
-
-// packedSummary converts one packed batch.Result into the Summary the solo
-// path would have produced for the same spec, field for field — that
-// equivalence is what lets batch-written cache entries serve solo jobs.
-func packedSummary(it *batchItem, r batch.Result) *Summary {
-	isum := &Summary{
-		Algorithm:      it.spec.Algorithm,
-		Family:         it.spec.Family,
-		NumEvents:      it.inst.NumEvents(),
-		NumVars:        it.inst.NumVars(),
-		Satisfied:      r.Satisfied,
-		ViolatedEvents: r.ViolatedEvents,
-		Rounds:         r.Rounds,
-		Resamplings:    r.Resamplings,
-		VarsFixed:      r.VarsFixed,
-		AssignmentHash: assignmentHash(r.Assignment),
-	}
-	return isum
 }

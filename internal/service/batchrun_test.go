@@ -63,7 +63,12 @@ func TestBatchInBatchDedup(t *testing.T) {
 	s := realService(t, reg, 8)
 
 	sub := JobSpec{Family: FamilySinkless, N: 16, Algorithm: AlgMTPar, Seed: 3}
-	sum := runJob(t, s, batchOf(true, sub, sub, sub))
+	j, err := s.Submit(batchOf(true, sub, sub, sub))
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitState(t, j, StateDone)
+	sum := j.View().Result
 	hits := 0
 	for _, is := range sum.Instances {
 		if is.Err != "" {
@@ -80,8 +85,22 @@ func TestBatchInBatchDedup(t *testing.T) {
 	if hits != 2 {
 		t.Fatalf("%d of 3 identical instances were dedup hits, want 2", hits)
 	}
-	if got := reg.Counter("batch_instances_total").Value(); got != 1 {
-		t.Errorf("batch_instances_total = %d, want 1 (only the leader packs)", got)
+	if got := reg.Counter("cache_stores_total").Value(); got != 1 {
+		t.Errorf("cache_stores_total = %d, want 1 (only the leader solves)", got)
+	}
+	events, _, _ := j.EventsSince(0)
+	rounds := 0
+	for _, e := range events {
+		if e.Kind != "round" {
+			continue
+		}
+		rounds++
+		if e.Instance != 1 {
+			t.Errorf("round event from instance %d, want only the leader's (1)", e.Instance)
+		}
+	}
+	if rounds == 0 {
+		t.Error("the leader emitted no round events")
 	}
 }
 
@@ -122,8 +141,8 @@ func TestBatchSoloCacheInterchange(t *testing.T) {
 }
 
 // TestBatchEvents: the NDJSON stream of a batch job is multiplexed by the
-// 1-based instance id — one instance_end per instance plus job-level round
-// events.
+// 1-based instance id — one instance_end per instance, and every round
+// event tagged with the instance that ran it.
 func TestBatchEvents(t *testing.T) {
 	s := realService(t, obs.NewRegistry(), 0)
 
@@ -151,6 +170,9 @@ func TestBatchEvents(t *testing.T) {
 			}
 			ends[e.Instance] = true
 		case "round":
+			if e.Instance < 1 || e.Instance > len(subs) {
+				t.Fatalf("round event with out-of-range instance id %d", e.Instance)
+			}
 			rounds++
 		}
 	}
@@ -180,6 +202,64 @@ func TestBatchPartialFailure(t *testing.T) {
 	}
 	if sum.Satisfied {
 		t.Error("aggregate satisfied although an instance failed")
+	}
+}
+
+// TestBatchCancelStartsNoMoreLeaders: cancelling a running batch stops the
+// leader that is running and starts no later one. The stopped leader ends
+// with its cancellation error, the leaders that never started get no
+// instance_end, and the job ends cancelled.
+func TestBatchCancelStartsNoMoreLeaders(t *testing.T) {
+	s := realService(t, obs.NewRegistry(), 0)
+
+	// One always-violated event under an effectively unbounded round budget:
+	// mtpar resamples it until the cancel lands.
+	stuck := JobSpec{
+		Family:    FamilyInline,
+		Instance:  []byte(`{"version":1,"variables":[{"probs":[0.5,0.5]}],"events":[{"kind":"allEqual","scope":[0]}]}`),
+		Algorithm: AlgMTPar, Seed: 1, MaxRounds: 1 << 30,
+	}
+	js := batchOf(false, stuck,
+		JobSpec{Family: FamilySinkless, N: 16, Algorithm: AlgMTPar, Seed: 2},
+		JobSpec{Family: FamilySinkless, N: 16, Algorithm: AlgSeq, Seed: 3},
+	)
+	js.Workers = 1 // the leaders run one at a time, in batch order
+	j, err := s.Submit(js)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for from := 0; ; {
+		events, more, state := j.EventsSince(from)
+		from += len(events)
+		started := false
+		for _, e := range events {
+			started = started || (e.Kind == "round" && e.Instance == 1)
+		}
+		if started {
+			break
+		}
+		if state.Terminal() {
+			t.Fatalf("batch ended %s before instance 1 emitted a round", state)
+		}
+		<-more
+	}
+	if _, err := s.Cancel(j.ID); err != nil {
+		t.Fatal(err)
+	}
+	waitState(t, j, StateCancelled)
+
+	events, _, _ := j.EventsSince(0)
+	ends := map[int]string{}
+	for _, e := range events {
+		if e.Kind == "round" && e.Instance != 1 {
+			t.Errorf("round event from instance %d, which should never have started", e.Instance)
+		}
+		if e.Kind == "instance_end" {
+			ends[e.Instance] = e.Err
+		}
+	}
+	if len(ends) != 1 || !strings.Contains(ends[1], "cancel") {
+		t.Fatalf("instance_end events = %v, want only instance 1's, with a cancellation error", ends)
 	}
 }
 
@@ -248,9 +328,9 @@ func TestBatchRequestJobSpec(t *testing.T) {
 // spec listed twice, a LOCAL (dist) member, and an mtpar and a seq group.
 // At every worker count each instance matches its solo job, the aggregate
 // counts every member whose build succeeded, both copies of the bad spec
-// carry one "building instance" error, and each group that builds shows
-// exactly one build_instance span under its batch_group span — while a
-// fully cached resubmission builds nothing.
+// carry one "building instance" error, and each of the six leaders shows
+// its own build_instance span under the job's trace — while a fully cached
+// resubmission builds nothing.
 func TestBatchPrepareMixed(t *testing.T) {
 	earlier := JobSpec{Family: FamilySinkless, N: 24, Algorithm: AlgMTPar, Seed: 31}
 	dup := JobSpec{Family: FamilySinkless, N: 20, Algorithm: AlgMTPar, Seed: 32}
@@ -354,37 +434,25 @@ func TestBatchPrepareMixed(t *testing.T) {
 			if err := rec.Flush(); err != nil {
 				t.Fatal(err)
 			}
-			groups := map[string]string{} // span id → phase
-			builds := map[string]int{}    // parent span id → build_instance spans
-			resubSpans := 0
+			builds, resubBuilds := 0, 0
 			for _, e := range sink.events(t) {
-				if e.Kind != "span" {
+				if e.Kind != "span" || e.Phase != "build_instance" {
 					continue
 				}
-				switch {
-				case e.Trace == rj.TraceID && (e.Phase == "build_instance" || strings.HasPrefix(e.Phase, "batch_group:")):
-					resubSpans++
-				case e.Trace != j.TraceID:
-				case strings.HasPrefix(e.Phase, "batch_group:"):
-					groups[e.Span] = e.Phase
-				case e.Phase == "build_instance":
-					builds[e.Parent]++
+				switch e.Trace {
+				case j.TraceID:
+					builds++
+				case rj.TraceID:
+					resubBuilds++
 				}
 			}
-			if len(groups) != 3 {
-				t.Errorf("batch_group spans = %v, want mtpar, seq and dist", groups)
+			// Leaders: the first dup, both seq specs, the first bad copy,
+			// the dist member and the hyper mtpar member.
+			if builds != 6 {
+				t.Errorf("batch emitted %d build_instance spans, want 6 (one per leader)", builds)
 			}
-			for id, phase := range groups {
-				if builds[id] != 1 {
-					t.Errorf("%s has %d build_instance spans, want 1", phase, builds[id])
-				}
-				delete(builds, id)
-			}
-			if len(builds) != 0 {
-				t.Errorf("build_instance spans outside any batch_group: %v", builds)
-			}
-			if resubSpans != 0 {
-				t.Errorf("fully cached resubmission emitted %d build/group spans, want 0", resubSpans)
+			if resubBuilds != 0 {
+				t.Errorf("fully cached resubmission emitted %d build_instance spans, want 0", resubBuilds)
 			}
 		})
 	}

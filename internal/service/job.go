@@ -77,9 +77,9 @@ type Event struct {
 	Halted   int `json:"halted,omitempty"`
 	Dropped  int `json:"dropped,omitempty"`
 	Crashed  int `json:"crashed,omitempty"`
-	// Instance is the 1-based batch instance id of an "instance_end"
-	// event; the NDJSON stream of a batch job is multiplexed over it
-	// (0 = a job-level event).
+	// Instance is the 1-based batch instance id of a batch job's "round"
+	// and "instance_end" events; the NDJSON stream of a batch job is
+	// multiplexed over it (0 = a job-level event).
 	Instance int `json:"instance,omitempty"`
 	// CacheHit marks a "cache_hit" or "instance_end" event served from the
 	// canonical result cache instead of a fresh solve.

@@ -308,7 +308,7 @@ func New(cfg Config) *Service {
 			return RunSpec(ctx, js, att, emit, s.runOpts)
 		}
 	}
-	// The dispatch wrapper routes batch jobs to the packed batch runner
+	// The dispatch wrapper routes batch jobs to the batch runner
 	// and cache-enabled jobs through the result cache + single-flight
 	// layer; everything else hits the configured runner directly.
 	s.runner = func(ctx context.Context, js JobSpec, att Attempt, emit func(Event)) (*Summary, error) {
