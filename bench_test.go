@@ -192,8 +192,8 @@ func BenchmarkEngineRounds(b *testing.B) {
 }
 
 // floodProbe is a minimal LOCAL machine (min-ID flooding with a fixed round
-// budget) used to benchmark the full runtime — compute, validation and
-// delivery phases — at large n.
+// budget) used to benchmark the full runtime — stepping, length checks and
+// message writes, in one pass per round — at large n.
 type floodProbe struct {
 	info   local.NodeInfo
 	min    uint64

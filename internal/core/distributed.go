@@ -52,11 +52,31 @@ func mkPair(a, b int) pairKey {
 	return pairKey{lo: a, hi: b}
 }
 
-// phiKey identifies one side of a dependency edge: the φ value at event At
-// on the edge Edge.
-type phiKey struct {
-	edge pairKey
-	at   int
+// phiID identifies one side of a dependency edge in one word: the φ value
+// at endpoint at of the edge {lo, hi}, packed as lo in bits 32–62, hi in
+// bits 1–31 and the side (0 at lo, 1 at hi) in bit 0, so a φ table hashes
+// one word per lookup. The packing is injective while every event index is
+// below maxPhiEvents, which FixDistributed2 and FixDistributed3 check.
+type phiID uint64
+
+// maxPhiEvents bounds the events of an instance whose φ entries phiID can
+// key.
+const maxPhiEvents = 1 << 31
+
+func phiOf(edge pairKey, at int) phiID {
+	k := phiID(edge.lo)<<32 | phiID(edge.hi)<<1
+	if at == edge.hi {
+		k |= 1
+	}
+	return k
+}
+
+// checkPhiEvents rejects an instance with too many events for phiID.
+func checkPhiEvents(events int) error {
+	if int64(events) >= maxPhiEvents {
+		return fmt.Errorf("core: %d events; the distributed fixers need fewer than 2^31", events)
+	}
+	return nil
 }
 
 // phiEntry is a versioned φ value; Ver is the round in which it was written.
@@ -70,7 +90,7 @@ type fixing struct{ vid, val int }
 
 // phiUpdate is one versioned φ entry.
 type phiUpdate struct {
-	key phiKey
+	key phiID
 	phiEntry
 }
 
@@ -119,7 +139,7 @@ type lllMachine struct {
 
 	vars []int             // variables affecting my event, sorted
 	view *model.Assignment // the fixings I know of
-	phi  map[phiKey]phiEntry
+	phi  map[phiID]phiEntry
 	// Receivers read a round's message during the next round, so the
 	// machine alternates two message buffers by round parity; out is this
 	// round's. send is the per-port slice, reused every round.
@@ -137,7 +157,7 @@ func (m *lllMachine) Init(info local.NodeInfo) {
 	// 3d²–7d² entries, so 4d(d+1) lets most tables fill without growing and
 	// rehashing.
 	d := info.Degree()
-	m.phi = make(map[phiKey]phiEntry, 4*d*(d+1))
+	m.phi = make(map[phiID]phiEntry, 4*d*(d+1))
 	m.vars = append([]int(nil), m.inst.Event(m.me).Scope...)
 	sort.Ints(m.vars)
 	m.send = make([]local.Message, info.Degree())
@@ -146,7 +166,7 @@ func (m *lllMachine) Init(info local.NodeInfo) {
 func (m *lllMachine) totalRounds() int { return 2*m.numClasses + 1 }
 
 func (m *lllMachine) phiValue(edge pairKey, at int) float64 {
-	if e, ok := m.phi[phiKey{edge: edge, at: at}]; ok {
+	if e, ok := m.phi[phiOf(edge, at)]; ok {
 		return e.val
 	}
 	return 1
@@ -158,7 +178,7 @@ func (m *lllMachine) phiValue(edge pairKey, at int) float64 {
 // and its final value is read back when the message is sealed, because
 // merging keeps the first of two entries with equal versions.
 func (m *lllMachine) setPhi(edge pairKey, at int, val float64, round int) {
-	k := phiKey{edge: edge, at: at}
+	k := phiOf(edge, at)
 	if cur, ok := m.phi[k]; !ok || cur.ver < round {
 		m.out.own.phi = append(m.out.own.phi, phiUpdate{key: k})
 	}
@@ -410,6 +430,9 @@ func FixDistributed2(inst *model.Instance, opts Options, lopts local.Options) (*
 	if r := inst.Rank(); r > 2 {
 		return nil, fmt.Errorf("core: FixDistributed2 requires rank <= 2, instance has %d", r)
 	}
+	if err := checkPhiEvents(inst.NumEvents()); err != nil {
+		return nil, err
+	}
 	g := inst.DependencyGraph()
 	ec, err := coloring.DistributedEdgeColoringNative(g, lopts)
 	if err != nil {
@@ -449,6 +472,9 @@ func FixDistributed3(inst *model.Instance, opts Options, lopts local.Options) (*
 	opts = opts.withDefaults()
 	if r := inst.Rank(); r > 3 {
 		return nil, fmt.Errorf("%w: rank %d", ErrRankTooHigh, r)
+	}
+	if err := checkPhiEvents(inst.NumEvents()); err != nil {
+		return nil, err
 	}
 	g := inst.DependencyGraph()
 	d2, err := coloring.DistributedDistance2Native(g, lopts)

@@ -267,3 +267,56 @@ func BenchmarkFixDistributed3Hyper72(b *testing.B) {
 		}
 	}
 }
+
+// TestPhiIDInjective holds phiID's one-word packing to the struct key
+// phiKey (flood_test.go): over every edge and endpoint of a small complete
+// graph and of edges at the top of the event range, each (lo, hi, side)
+// packs to its own word, which decodes back to it. Event counts from 2^31
+// up are rejected, since their indices would overflow the packing.
+func TestPhiIDInjective(t *testing.T) {
+	const top = maxPhiEvents - 1
+	complete := func(k int) []pairKey {
+		var edges []pairKey
+		for lo := 0; lo < k; lo++ {
+			for hi := lo + 1; hi < k; hi++ {
+				edges = append(edges, pairKey{lo, hi})
+			}
+		}
+		return edges
+	}
+	seen := make(map[phiID]phiKey)
+	for _, tc := range []struct {
+		name  string
+		edges []pairKey
+	}{
+		{"K8", complete(8)},
+		{"top", []pairKey{{0, top}, {1, top}, {top - 1, top}, {top - 2, top - 1}, {0, 1 << 30}, {1 << 30, top}}},
+	} {
+		for _, e := range tc.edges {
+			for _, at := range []int{e.lo, e.hi} {
+				want := phiKey{edge: e, at: at}
+				id := phiOf(e, at)
+				if prev, dup := seen[id]; dup {
+					t.Fatalf("%s: %+v and %+v both pack to %#x", tc.name, prev, want, id)
+				}
+				seen[id] = want
+				got := phiKey{edge: pairKey{lo: int(id >> 32), hi: int((id >> 1) & top)}}
+				got.at = got.edge.lo
+				if id&1 == 1 {
+					got.at = got.edge.hi
+				}
+				if got != want {
+					t.Errorf("%s: %+v packs to %#x, which decodes to %+v", tc.name, want, id, got)
+				}
+			}
+		}
+	}
+	for _, tc := range []struct {
+		events int
+		ok     bool
+	}{{0, true}, {72, true}, {top, true}, {maxPhiEvents, false}, {1 << 40, false}} {
+		if err := checkPhiEvents(tc.events); (err == nil) != tc.ok {
+			t.Errorf("checkPhiEvents(%d) = %v, want ok=%v", tc.events, err, tc.ok)
+		}
+	}
+}

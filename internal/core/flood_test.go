@@ -16,6 +16,14 @@ import (
 // any actor needs; the delta-relay machine must reproduce its DistResult
 // exactly (TestDeltaRelayMatchesFlooding).
 
+// phiKey identifies one side of a dependency edge — the φ value at event at
+// on the edge — as a plain struct, independently of the machine's packed
+// phiID.
+type phiKey struct {
+	edge pairKey
+	at   int
+}
+
 // stateMsg is the full local view a flooding node broadcasts each round.
 type stateMsg struct {
 	fixings map[int]int

@@ -49,9 +49,9 @@ var ErrInjected = errors.New("fault: injected")
 type Plan struct {
 	// Seed keys every injection decision; equal seeds inject equal faults.
 	Seed uint64
-	// PanicRate is the probability that a compute shard panics, per shard
-	// per round (exercised by the LOCAL runtime's compute phase; the panic
-	// unwinds through the engine pool as a *PanicError).
+	// PanicRate is the probability that a shard of a LOCAL round's pass
+	// panics, per shard per round (the panic unwinds through the engine
+	// pool as a *PanicError).
 	PanicRate float64
 	// DropRate is the probability that a delivered message is dropped,
 	// per message per round.
@@ -143,7 +143,7 @@ func (in *Injector) decide(rate float64, salt, a, b, c uint64) bool {
 	return float64(h>>11)/(1<<53) < rate
 }
 
-// PanicShard reports whether the compute shard starting at index lo should
+// PanicShard reports whether the round's shard starting at index lo should
 // panic in the given round. Keyed by the shard's start index, so the
 // decision depends on the sharding (and therefore the worker count) —
 // panic injection is a recovery drill, not part of the determinism

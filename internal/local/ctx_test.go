@@ -21,7 +21,7 @@ func (m *spinMachine) Round(int, []Message) ([]Message, bool) { return nil, fals
 
 // TestRunCtxCancelMidRound cancels a large run from inside its OnRound
 // observer and demands that the runtime stops before the next round: the
-// cancel fires after round 50's delivery phase, so exactly 50 rounds of
+// cancel fires after round 50's pass, so exactly 50 rounds of
 // stats must be reported, and the error must expose context.Canceled.
 func TestRunCtxCancelMidRound(t *testing.T) {
 	const nodes, cancelAt = 50_000, 50

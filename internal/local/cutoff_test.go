@@ -73,10 +73,11 @@ func tracedRun(t *testing.T, g *graph.Graph, workers, rounds int) []obs.Event {
 	return events
 }
 
-// TestRunPathFollowsCutoff pins the path choice: below the cutoff a run
-// hands the engine nothing, whatever Workers allows (one shard per phase,
-// run by the caller, none stolen, and the run reports 1 worker); at or
-// above it, every phase is split into more than one shard on the pool.
+// TestRunPathFollowsCutoff pins the path choice and the one-pass round:
+// below the cutoff a run hands the engine nothing, whatever Workers allows
+// (one shard per round, run by the caller, none stolen, and the run
+// reports 1 worker); at or above it, every round is one pass split into
+// more than one shard on the pool.
 func TestRunPathFollowsCutoff(t *testing.T) {
 	const rounds = 5
 	for _, side := range []struct {
@@ -106,11 +107,11 @@ func TestRunPathFollowsCutoff(t *testing.T) {
 					}
 				case "round":
 					seen++
-					if side.below && (e.Shards != 2 || e.Stolen != 0) {
-						t.Errorf("%s: round %d ran %d shards (%d stolen), want one per phase on the caller", name, e.Round, e.Shards, e.Stolen)
+					if side.below && (e.Shards != 1 || e.Stolen != 0) {
+						t.Errorf("%s: round %d ran %d shards (%d stolen), want one on the caller", name, e.Round, e.Shards, e.Stolen)
 					}
-					if !side.below && e.Shards <= 2 {
-						t.Errorf("%s: round %d ran %d shards, want more than one per phase", name, e.Round, e.Shards)
+					if !side.below && e.Shards <= 1 {
+						t.Errorf("%s: round %d ran %d shards, want more than one", name, e.Round, e.Shards)
 					}
 				}
 			}

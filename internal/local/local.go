@@ -7,21 +7,23 @@
 // each neighbor, receive the messages sent to it, and perform unbounded
 // local computation. The complexity measure is the number of rounds.
 //
-// Nodes are driven by user-provided Machines. Each round the runtime steps
-// every still-running machine concurrently on a persistent sharded worker
-// pool (internal/engine): workers pull contiguous node shards off an atomic
-// cursor, so goroutine creation is amortised across rounds and the outbox /
-// halt-flag buffers are reused round over round. Message delivery is
-// likewise sharded, by destination node. A run whose rounds are too small
-// to share — n machine steps plus the inbox slots (the sum of the degrees)
-// below a measured constant — runs every round inline on the caller
-// instead, because handing such a round to the pool costs more than the
-// round itself; so does every run with Workers 1. The path is chosen once
-// per run, and a panic inside a round leaves Run as a *fault.PanicError on
-// either path. A machine halts by returning done; the run finishes when
-// every machine has halted. Determinism is guaranteed bit-for-bit for every
-// worker count and either path because machines own disjoint state and
-// every phase writes only to index-addressed slices. The golden-table tests
+// Nodes are driven by user-provided Machines. Each round is one pass over
+// the nodes on a persistent sharded worker pool (internal/engine): workers
+// pull contiguous node shards off an atomic cursor, step every
+// still-running machine, and write each message it returns straight into
+// the receiver's slot of the next round's inbox. The inbox is
+// double-buffered, so a round reads one buffer while it fills the other,
+// and every buffer and table is built once per run. A run whose rounds are
+// too small to share — n machine steps plus the inbox slots (the sum of
+// the degrees) below a measured constant — runs every round inline on the
+// caller instead, because handing such a round to the pool costs more
+// than the round itself; so does every run with Workers 1. The path is
+// chosen once per run, and a panic inside a round leaves Run as a
+// *fault.PanicError on either path. A machine halts by returning done; the
+// run finishes when every machine has halted. Determinism is guaranteed
+// bit-for-bit for every worker count and either path because machines own
+// disjoint state, every inbox slot has exactly one writer, and every count
+// is an order-independent sum. The golden-table tests
 // in internal/exp sweep Workers ∈ {1, 2, GOMAXPROCS}, but their graphs are
 // all below the cutoff, so they compare inline runs with inline runs; the
 // pooled path is held to the inline one on graphs above the cutoff by
@@ -39,7 +41,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sync/atomic"
+	"sync"
 	"time"
 
 	"repro/internal/engine"
@@ -75,13 +77,15 @@ func (n *NodeInfo) Degree() int { return len(n.NeighborIDs) }
 
 // Machine is the program run by one node.
 //
-// Buffer contract: the runtime reads the send slice a Round call returns
-// only until that round's delivery phase ends, so a machine may return the
-// same slice every round. The message values themselves are read by the
-// receivers during the next round's compute phase, concurrently with the
-// sender's next Round call, so a value sent in round r must not change
-// before round r+2: allocate it fresh, or alternate two buffers by round
-// parity.
+// Buffer contract: the runtime copies the messages out of the send slice
+// a Round call returns before it steps the machine again and keeps no
+// reference to the slice, so a machine may return the same slice every
+// round. The message values themselves are read by the receivers during
+// the next round, concurrently with the sender's next Round call, so a
+// value sent in round r must not change before round r+2: allocate it
+// fresh, or alternate two buffers by round parity. The recv slice belongs
+// to the runtime, which rewrites it after the call returns; a machine must
+// not keep it.
 type Machine interface {
 	// Init is called once before the first round.
 	Init(info NodeInfo)
@@ -97,9 +101,8 @@ type Machine interface {
 //
 // When Run fails mid-round (a machine sent a message slice of the wrong
 // length), the returned Stats is still well defined: Rounds includes the
-// failing round, Steps includes its compute phase, MessagesSent excludes
-// the failing round entirely (no partial deliveries), and machines that
-// halted in the failing round are retired before the error is reported.
+// failing round, Steps and CrashSteps include its steps and crashes, and
+// MessagesSent and MessagesDropped exclude the failing round entirely.
 // On ErrRoundLimit, Stats reflects the MaxRounds completed rounds. On
 // cancellation (Options.Ctx) Stats reflects exactly the rounds completed
 // before the context was observed done: the runtime checks the context
@@ -130,11 +133,11 @@ var ErrRoundLimit = errors.New("local: round limit exceeded")
 // Options configures a run.
 type Options struct {
 	// Ctx, if non-nil, makes the run cancellable: the runtime checks the
-	// context once per round (before the compute phase) and, when it is
+	// context once per round (before the round's pass) and, when it is
 	// done, stops and returns the partial Stats of the completed rounds
 	// together with an error wrapping ctx.Err() (test with errors.Is
 	// against context.Canceled / context.DeadlineExceeded). Rounds are
-	// never torn mid-phase, so the partial Stats obey the same contract as
+	// never torn mid-pass, so the partial Stats obey the same contract as
 	// a mid-round failure and cancellation is observed within one round.
 	// Every layer that threads Options through to Run — the colouring
 	// machines, the distributed fixers, the distributed Moser-Tardos
@@ -163,32 +166,34 @@ type Options struct {
 	// Results are bit-for-bit identical for every value.
 	Workers int
 	// OnRound, if non-nil, observes per-round execution stats after each
-	// round's delivery phase. It is called from the coordinating goroutine,
-	// in round order. The stream is deterministic: identical for every
-	// Workers value.
+	// round's pass. It is called from the coordinating goroutine, in round
+	// order. The stream is deterministic: identical for every Workers
+	// value.
 	OnRound func(engine.RoundStats)
 	// Metrics, if non-nil, receives the runtime's metric families: local_*
 	// counters and histograms (rounds, steps, messages, per-round
-	// message/halt histograms, per-phase compute/deliver timings) and the
-	// engine_* sharding counters (shards executed / stolen). Collection is
-	// race-clean and never changes results; when nil the runtime skips all
-	// timing calls (the disabled path costs nothing).
+	// message/halt histograms, the per-round pass timing
+	// local_compute_seconds) and the engine_* sharding counters (shards
+	// executed / stolen). Collection is race-clean and never changes
+	// results; when nil the runtime skips all timing calls (the disabled
+	// path costs nothing).
 	Metrics *obs.Registry
 	// Trace, if non-nil, receives one structured JSONL event per round
 	// (kind "round") bracketed by "run_start" / "run_end" markers, all
 	// tagged with a per-run id. Like Metrics it never changes results.
 	Trace *obs.Recorder
 	// Fault, if non-nil, injects seeded faults into the run: messages are
-	// dropped in the delivery phase (DropMessage), nodes crash-stop for
-	// single rounds in the compute phase (CrashNode), and whole compute
-	// shards panic (PanicShard) — the panic leaves Run as a
-	// *fault.PanicError and is NOT recovered here, so callers that must
-	// survive it (the job service) recover it themselves. PanicShard is
-	// keyed by a shard's first node, so an inline run, one shard per
-	// phase, draws once per round. Drop and crash decisions are keyed per
-	// (round, node[, port]), so the faulty execution is itself
-	// deterministic and worker-count independent; Stats.MessagesDropped /
-	// Stats.CrashSteps account the damage. Nil injects nothing at no cost.
+	// dropped as their sender writes them (DropMessage, keyed by the
+	// receiver and its inbox slot), nodes crash-stop for single rounds
+	// (CrashNode), and whole shards of a round's pass panic (PanicShard) —
+	// the panic leaves Run as a *fault.PanicError and is NOT recovered
+	// here, so callers that must survive it (the job service) recover it
+	// themselves. PanicShard is keyed by a shard's first node, so an
+	// inline run, one shard per round, draws once per round. Drop and
+	// crash decisions are keyed per (round, node[, port]), so the faulty
+	// execution is itself deterministic and worker-count independent;
+	// Stats.MessagesDropped / Stats.CrashSteps account the damage. Nil
+	// injects nothing at no cost.
 	Fault *fault.Injector
 }
 
@@ -214,53 +219,43 @@ func Run(g *graph.Graph, newMachine func(node int) Machine, opts Options) (Stats
 	n := g.N()
 	ids := assignIDs(n, opts)
 
-	// Per-node tables, built once per run as capacity-capped windows of
-	// flat arrays, node v owning entries off[v] to off[v+1]: the neighbour
-	// IDs handed to Init, the inbox, and links, which names the outbox slot
-	// that fills each inbox slot. A round reads only these, so it copies no
-	// adjacency.
+	// Per-node tables, built once per run as flat arrays, node v owning
+	// entries off[v] to off[v+1]: the neighbour IDs handed to Init, the two
+	// inbox buffers, and to, which names the inbox slot each of v's ports
+	// fills. A round reads only these, so it copies no adjacency.
 	off := make([]int, n+1)
 	for v := 0; v < n; v++ {
 		off[v+1] = off[v] + g.Degree(v)
 	}
-	// links[v][i] is the sender behind v's inbox slot i: the port-i
-	// neighbour u and the port under which u sees v. Neighbour lists are
+	// to[off[u]+p] is the flat inbox slot that u's port p writes: the slot
+	// under which the port-p neighbour v sees u. Neighbour lists are
 	// ascending, so visiting v in ascending order reaches every u's ports
 	// in order; seen[u] counts the ones reached so far.
-	linkFlat := make([]link, off[n])
+	to := make([]int, off[n])
+	idFlat := make([]uint64, off[n])
 	seen := make([]int, n)
 	for v := 0; v < n; v++ {
 		i := off[v]
 		g.ForEachNeighbor(v, func(u, _ int) {
-			linkFlat[i] = link{from: u, port: seen[u]}
+			to[off[u]+seen[u]] = i
 			seen[u]++
+			idFlat[i] = ids[u]
 			i++
 		})
 	}
-	idFlat := make([]uint64, off[n])
-	inFlat := make([]Message, off[n])
-	links := make([][]link, n)
-	inbox := make([][]Message, n)
 	machines := make([]Machine, n)
 	maxDeg := g.MaxDegree()
 	for v := 0; v < n; v++ {
 		lo, hi := off[v], off[v+1]
-		links[v] = linkFlat[lo:hi:hi]
-		inbox[v] = inFlat[lo:hi:hi]
-		nbrIDs := idFlat[lo:hi:hi]
-		for i, l := range links[v] {
-			nbrIDs[i] = ids[l.from]
-		}
 		machines[v] = newMachine(v)
-		machines[v].Init(NodeInfo{ID: ids[v], NeighborIDs: nbrIDs, N: n, MaxDegree: maxDeg})
+		machines[v].Init(NodeInfo{ID: ids[v], NeighborIDs: idFlat[lo:hi:hi], N: n, MaxDegree: maxDeg})
 	}
 
-	// Buffers reused across every round: the per-node outboxes, halt flags
-	// and the running set. The engine shards index ranges over them; every
-	// write is index-addressed, so results are independent of the worker
-	// count and of shard scheduling.
-	outbox := make([][]Message, n)
-	doneFlags := make([]bool, n)
+	// The inbox is double-buffered: round r's machines read cur while they
+	// write next, and the buffers swap between rounds. running is the
+	// running set. Every write is index-addressed, so results are
+	// independent of the worker count and of shard scheduling.
+	cur, next := make([]Message, off[n]), make([]Message, off[n])
 	running := make([]bool, n)
 	numRunning := n
 	for v := range running {
@@ -271,112 +266,101 @@ func Run(g *graph.Graph, newMachine func(node int) Machine, opts Options) (Stats
 	// round: n machine steps plus off[n] inbox slots.
 	pool, release := runPool(opts, n+off[n])
 	defer release()
-	phase := runInline
+	pass := runInline
 	if pool != nil {
-		phase = pool.ForEachShardStats
+		pass = pool.ForEachShardStats
 	}
 	inj := opts.Fault
 	crashing, panicking, dropping := inj.Crashing(), inj.Panicking(), inj.Dropping()
+	// A drop is keyed by its receiver and inbox slot, so drop injection
+	// needs each slot's owner.
+	var owner []int
+	if dropping {
+		owner = make([]int, off[n])
+		for v := 0; v < n; v++ {
+			for j := off[v]; j < off[v+1]; j++ {
+				owner[j] = v
+			}
+		}
+	}
 
 	// Observability: resolved once per run; nil when disabled, in which
 	// case the round loop takes no timestamps and tracks no shard stats.
 	ro := newRunObs(opts, n, pool.Workers())
-	ro.runStart()
 
-	// markHalted retires machines that returned done this round and
-	// reports how many it retired. It runs on both the success and the
-	// error path, so Stats and the running set stay consistent even when a
-	// round fails mid-way.
-	markHalted := func() int {
-		halted := 0
-		for v := 0; v < n; v++ {
-			if running[v] && doneFlags[v] {
-				running[v] = false
-				numRunning--
-				halted++
-			}
-		}
-		return halted
-	}
-
-	// The two phases of a round, built once per run: they read the round
-	// in flight from round and fold their counts into the atomics, which
-	// the loop resets before each phase.
+	// A round is one sharded pass, built once per run: it reads the round
+	// in flight from round, and every shard folds its counts into rc once.
 	var (
-		round                              int
-		steps, crashes, delivered, dropped atomic.Int64
+		round int
+		rc    roundCounts
+		rcMu  sync.Mutex
 	)
-
-	// Compute phase: workers pull contiguous node shards and step every
-	// running machine. Machines own disjoint state; outbox and doneFlags
-	// are written at the machine's own index only. The fault checks are
-	// hoisted behind per-class booleans so the fault-free path costs one
-	// predictable branch per node at most.
-	compute := func(lo, hi int) {
+	// Workers pull contiguous node shards, step every running machine on
+	// its slots of cur, and write each message it returns straight into
+	// the receiver's slot of next. Each slot of next has one writer, the
+	// neighbour behind it, which writes nil when it is halted or crashed or
+	// sends nothing, so next is rewritten whole every round. The fault
+	// checks are hoisted behind per-class booleans so the fault-free path
+	// costs one predictable branch per node at most; injected drops happen
+	// at the sender but are keyed by the receiver's (round, node, slot), and
+	// the message is replaced by nil exactly as if the sender had stayed
+	// silent.
+	step := func(lo, hi int) {
 		// Panic with the bare error: the engine's shard recover (or
 		// runInline on the inline path) wraps it into a *fault.PanicError,
 		// capturing the stack at THIS panic site.
 		if panicking && inj.PanicShard(round, lo) {
 			panic(fmt.Errorf("%w: compute shard [%d, %d) round %d", fault.ErrInjected, lo, hi, round))
 		}
-		stepped, crashed := 0, 0
+		c := roundCounts{bad: -1}
 		for v := lo; v < hi; v++ {
-			if !running[v] {
-				outbox[v] = nil
-				continue
-			}
-			if crashing && inj.CrashNode(round, v) {
+			slots := to[off[v]:off[v+1]]
+			var send []Message
+			switch {
+			case !running[v]:
+			case crashing && inj.CrashNode(round, v):
 				// Crash-stop for this round: no step, no sends; the
 				// machine stays in the computation and resumes next round
 				// having missed a step (its inbox for this round is
 				// overwritten unread).
-				outbox[v] = nil
-				doneFlags[v] = false
-				crashed++
+				c.crashed++
+			default:
+				var done bool
+				send, done = machines[v].Round(round, cur[off[v]:off[v+1]:off[v+1]])
+				c.steps++
+				if done {
+					running[v] = false
+					c.halted++
+				}
+				if send != nil && len(send) != len(slots) {
+					if c.bad < 0 {
+						c.bad, c.badLen = v, len(send)
+					}
+					send = nil
+				}
+			}
+			if send == nil {
+				for _, j := range slots {
+					next[j] = nil
+				}
 				continue
 			}
-			send, done := machines[v].Round(round, inbox[v])
-			outbox[v] = send
-			doneFlags[v] = done
-			stepped++
-		}
-		steps.Add(int64(stepped))
-		if crashed > 0 {
-			crashes.Add(int64(crashed))
-		}
-	}
-
-	// Delivery phase, sharded by destination: node v's inbox slot i is
-	// filled from the outbox slot links[v][i]. Each inbox is written by
-	// exactly one shard, so delivery is race-free; the message count is
-	// accumulated per shard and folded in atomically (order-independent
-	// sum). Injected drops happen here, on the receiver side: the message
-	// is replaced by nil exactly as if the sender had stayed silent.
-	deliver := func(lo, hi int) {
-		count, drops := 0, 0
-		for v := lo; v < hi; v++ {
-			in := inbox[v]
-			for i, l := range links[v] {
-				ob := outbox[l.from]
-				if ob == nil {
-					in[i] = nil
-					continue
-				}
-				msg := ob[l.port]
-				if msg != nil && dropping && inj.DropMessage(round, v, i) {
-					msg = nil
-					drops++
-				}
-				in[i] = msg
+			for p, msg := range send {
+				j := slots[p]
 				if msg != nil {
-					count++
+					if dropping && inj.DropMessage(round, owner[j], j-off[owner[j]]) {
+						msg = nil
+						c.dropped++
+					} else {
+						c.sent++
+					}
 				}
+				next[j] = msg
 			}
 		}
-		delivered.Add(int64(count))
-		if drops > 0 {
-			dropped.Add(int64(drops))
-		}
+		rcMu.Lock()
+		rc.add(c)
+		rcMu.Unlock()
 	}
 
 	var stats Stats
@@ -396,43 +380,33 @@ func Run(g *graph.Graph, newMachine func(node int) Machine, opts Options) (Stats
 		stats.Rounds = round
 		ro.roundBegin()
 
-		steps.Store(0)
-		crashes.Store(0)
-		phase(n, compute, ro.computeStats())
-		stats.Steps += int(steps.Load())
-		stats.CrashSteps += int(crashes.Load())
-		ro.computeDone()
+		rc = roundCounts{bad: -1}
+		pass(n, step, ro.passStats())
+		cur, next = next, cur
+		numRunning -= rc.halted
+		stats.Steps += rc.steps
+		stats.CrashSteps += rc.crashed
 
-		// Validation: a machine that returns a message slice of the wrong
-		// length poisons the round. Scan serially so the reported node is
-		// the lowest offender regardless of worker count, retire machines
-		// that halted this round, and return the (well-defined) partial
-		// Stats: this round's compute is counted, its messages are not.
-		for v := 0; v < n; v++ {
-			if outbox[v] != nil && len(outbox[v]) != g.Degree(v) {
-				markHalted()
-				err := fmt.Errorf("local: node %d sent %d messages, degree is %d", v, len(outbox[v]), g.Degree(v))
-				ro.runEnd(stats, err)
-				return stats, err
-			}
+		// A machine that returns a message slice of the wrong length
+		// poisons the round: report the lowest offender, whatever the
+		// worker count, and return the (well-defined) partial Stats, which
+		// count this round's steps but none of its messages.
+		if rc.bad >= 0 {
+			err := fmt.Errorf("local: node %d sent %d messages, degree is %d", rc.bad, rc.badLen, g.Degree(rc.bad))
+			ro.runEnd(stats, err)
+			return stats, err
 		}
+		stats.MessagesSent += rc.sent
+		stats.MessagesDropped += rc.dropped
 
-		delivered.Store(0)
-		dropped.Store(0)
-		phase(n, deliver, ro.deliverStats())
-		roundMsgs := int(delivered.Load())
-		stats.MessagesSent += roundMsgs
-		stats.MessagesDropped += int(dropped.Load())
-
-		halted := markHalted()
 		rs := engine.RoundStats{
 			Round:    round,
-			Steps:    int(steps.Load()),
-			Messages: roundMsgs,
+			Steps:    rc.steps,
+			Messages: rc.sent,
 			Active:   numRunning,
-			Halted:   halted,
-			Dropped:  int(dropped.Load()),
-			Crashed:  int(crashes.Load()),
+			Halted:   rc.halted,
+			Dropped:  rc.dropped,
+			Crashed:  rc.crashed,
 		}
 		ro.roundEnd(rs)
 		if opts.OnRound != nil {
@@ -441,6 +415,27 @@ func Run(g *graph.Graph, newMachine func(node int) Machine, opts Options) (Stats
 	}
 	ro.runEnd(stats, nil)
 	return stats, nil
+}
+
+// roundCounts is what one round's pass tallies. Each shard counts its own
+// nodes and folds them in once, so every count is an order-independent sum
+// and bad the lowest offender over all shards.
+type roundCounts struct {
+	steps, crashed, halted, sent, dropped int
+	// bad is the lowest node that returned a send slice of badLen messages
+	// for another degree, or -1 when none did.
+	bad, badLen int
+}
+
+func (c *roundCounts) add(s roundCounts) {
+	c.steps += s.steps
+	c.crashed += s.crashed
+	c.halted += s.halted
+	c.sent += s.sent
+	c.dropped += s.dropped
+	if s.bad >= 0 && (c.bad < 0 || s.bad < c.bad) {
+		c.bad, c.badLen = s.bad, s.badLen
+	}
 }
 
 // runObs is the per-run observability state: the resolved metric
@@ -460,16 +455,15 @@ type runObs struct {
 	dropped, crashed              *obs.Counter
 	shards, stolen                *obs.Counter
 	roundMsgs, roundHalts         *obs.Histogram
-	computeSec, deliverSec        *obs.Histogram
+	computeSec                    *obs.Histogram
 
 	// Scratch state of the round in flight.
-	phaseStart       time.Time
-	computeNS        int64
-	computeRS, delRS engine.RunStats
+	start time.Time
+	rs    engine.RunStats
 }
 
-// newRunObs resolves the run's collectors; it returns nil when both
-// observability channels are off.
+// newRunObs resolves the run's collectors and emits the run_start marker;
+// it returns nil when both observability channels are off.
 func newRunObs(opts Options, n, workers int) *runObs {
 	if opts.Metrics == nil && opts.Trace == nil {
 		return nil
@@ -490,7 +484,6 @@ func newRunObs(opts Options, n, workers int) *runObs {
 		ro.roundMsgs = m.Histogram("local_round_messages", obs.CountBuckets)
 		ro.roundHalts = m.Histogram("local_round_halted", obs.CountBuckets)
 		ro.computeSec = m.Histogram("local_compute_seconds", obs.DurationBuckets)
-		ro.deliverSec = m.Histogram("local_deliver_seconds", obs.DurationBuckets)
 	}
 	if ro.rec != nil {
 		ro.runID = ro.rec.NextRun()
@@ -505,42 +498,21 @@ func newRunObs(opts Options, n, workers int) *runObs {
 	return ro
 }
 
-func (ro *runObs) runStart() {} // run_start is emitted by newRunObs
-
-// roundBegin stamps the compute phase's start.
+// roundBegin stamps the round's start.
 func (ro *runObs) roundBegin() {
 	if ro == nil {
 		return
 	}
-	ro.phaseStart = time.Now()
+	ro.start = time.Now()
 }
 
-// computeStats returns the RunStats slot for the compute phase (nil when
+// passStats returns the RunStats slot for the round's pass (nil when
 // disabled, selecting the engine's zero-overhead path).
-func (ro *runObs) computeStats() *engine.RunStats {
+func (ro *runObs) passStats() *engine.RunStats {
 	if ro == nil {
 		return nil
 	}
-	return &ro.computeRS
-}
-
-// computeDone closes the compute phase's timing and opens the delivery
-// phase's.
-func (ro *runObs) computeDone() {
-	if ro == nil {
-		return
-	}
-	now := time.Now()
-	ro.computeNS = now.Sub(ro.phaseStart).Nanoseconds()
-	ro.phaseStart = now
-}
-
-// deliverStats returns the RunStats slot for the delivery phase.
-func (ro *runObs) deliverStats() *engine.RunStats {
-	if ro == nil {
-		return nil
-	}
-	return &ro.delRS
+	return &ro.rs
 }
 
 // roundEnd folds the finished round into the metric families and emits its
@@ -549,18 +521,17 @@ func (ro *runObs) roundEnd(rs engine.RoundStats) {
 	if ro == nil {
 		return
 	}
-	deliverNS := time.Since(ro.phaseStart).Nanoseconds()
+	computeNS := time.Since(ro.start).Nanoseconds()
 	ro.rounds.Inc()
 	ro.steps.Add(int64(rs.Steps))
 	ro.messages.Add(int64(rs.Messages))
 	ro.dropped.Add(int64(rs.Dropped))
 	ro.crashed.Add(int64(rs.Crashed))
-	ro.shards.Add(int64(ro.computeRS.Shards + ro.delRS.Shards))
-	ro.stolen.Add(int64(ro.computeRS.Stolen + ro.delRS.Stolen))
+	ro.shards.Add(int64(ro.rs.Shards))
+	ro.stolen.Add(int64(ro.rs.Stolen))
 	ro.roundMsgs.Observe(float64(rs.Messages))
 	ro.roundHalts.Observe(float64(rs.Halted))
-	ro.computeSec.Observe(float64(ro.computeNS) / 1e9)
-	ro.deliverSec.Observe(float64(deliverNS) / 1e9)
+	ro.computeSec.Observe(float64(computeNS) / 1e9)
 	if ro.rec != nil {
 		ro.rec.Emit(obs.Event{
 			Kind:      "round",
@@ -572,10 +543,9 @@ func (ro *runObs) roundEnd(rs engine.RoundStats) {
 			Halted:    rs.Halted,
 			Dropped:   rs.Dropped,
 			Crashed:   rs.Crashed,
-			Shards:    ro.computeRS.Shards + ro.delRS.Shards,
-			Stolen:    ro.computeRS.Stolen + ro.delRS.Stolen,
-			ComputeNS: ro.computeNS,
-			DeliverNS: deliverNS,
+			Shards:    ro.rs.Shards,
+			Stolen:    ro.rs.Stolen,
+			ComputeNS: computeNS,
 			Trace:     ro.trace,
 			Parent:    ro.parent,
 			Job:       ro.job,
@@ -601,16 +571,17 @@ func (ro *runObs) runEnd(stats Stats, err error) {
 
 // inlineWork is the work of one round, in machine steps plus inbox slots
 // (n plus the sum of the degrees), below which Run keeps every round on the
-// caller: a phase that small costs less than handing it to the engine pool
-// and joining its helpers, twice per round. The crossover, measured on
-// cycles at GOMAXPROCS 2 on a 2-vCPU host, inline (Workers 1) against the
-// 2-worker shared pool, in ns per unit of round work over 3 runs: a
-// flooding machine, which allocates a send slice per round like most
-// machines here, ran 35.9–42.7 inline vs 47.9–53.7 pooled at 2048,
-// 39.2–58.7 vs 35.7–48.5 at 4096 and 43.1–49.0 vs 37.4–41.2 at 8192; a
-// quiet machine, 10.1–10.4 vs 13.0–14.2 at 2048 and 9.4–12.3 vs
-// 11.9–13.6 at 8192, breaking even only near 16384. BenchmarkLocalCutoff
-// re-measures both sides of the constant.
+// caller: a round that small costs less than handing its one pass to the
+// engine pool and joining the helpers. The crossover, measured with
+// BenchmarkLocalCutoff on cycles at GOMAXPROCS 2 on a 2-vCPU host, with the
+// constant moved to each size, inline (Workers 1) against the 2-worker
+// shared pool, in ns per unit of round work over 3 runs: a flooding
+// machine, which allocates a send slice per round like most machines here,
+// ran 33.6–43.6 inline vs 38.5–47.3 pooled at 2048, 36.6–50.2 vs 31.1–37.8
+// at 4096 and 41.3–44.2 vs 28.3–35.5 at 8192; a quiet machine, 6.6–8.3 vs
+// 8.7–10.1 at 2048, 7.5–8.5 vs 8.6–9.6 at 4096 and 7.3–8.6 vs 7.5–8.9 at
+// 8192, breaking even near 8192. At GOMAXPROCS 1 every row runs inline:
+// 6.5–8.7 (quiet) and 31.4–40.8 (flood) at 4096.
 const inlineWork = 4096
 
 // runPool selects the execution pool for one run. It returns a nil pool,
@@ -636,7 +607,7 @@ func runPool(opts Options, work int) (pool *engine.Pool, release func()) {
 	return pool, release
 }
 
-// runInline runs one phase of a round on the caller, as the engine pool
+// runInline runs a round's pass on the caller, as the engine pool
 // would with a single shard, and raises a panic the way the pool does: as
 // a *fault.PanicError carrying the stack of the panic site.
 func runInline(n int, fn func(lo, hi int), rs *engine.RunStats) {
@@ -650,10 +621,6 @@ func runInline(n int, fn func(lo, hi int), rs *engine.RunStats) {
 		*rs = engine.RunStats{Shards: 1}
 	}
 }
-
-// link names the sender behind one inbox slot: the neighbour from, whose
-// outbox slot port holds the message.
-type link struct{ from, port int }
 
 // assignIDs produces the unique node identifiers for a run.
 func assignIDs(n int, opts Options) []uint64 {

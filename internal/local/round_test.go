@@ -54,8 +54,10 @@ func runtimeAllocsPerRound(t *testing.T, g *graph.Graph, workers int) float64 {
 // 16384 nodes, at Workers 1 and 2. Copying any per-node table in a round
 // (one neighbour list per node, say) makes the larger cycle of either pair
 // allocate over 1300 more per round. The two pairs run on different paths
-// at Workers 2 (0 allocations inline, the engine's 2 job records on the
-// pool), so they are compared within each pair.
+// at Workers 2, so they are compared within each pair: inline, a round
+// allocates nothing; on the pool, it is one pass and allocates the
+// engine's one job record, so a second engine job per round (2
+// allocations) fails the bound.
 func TestRuntimeAllocsPerRoundIndependentOfN(t *testing.T) {
 	pairs := []struct {
 		side         string
@@ -74,8 +76,8 @@ func TestRuntimeAllocsPerRoundIndependentOfN(t *testing.T) {
 				t.Errorf("%s cutoff, workers=%d: %.2f allocs/round at n=%d vs %.2f at n=%d, want equal within 1",
 					p.side, workers, large, p.large.N(), small, p.small.N())
 			}
-			if large > 4 {
-				t.Errorf("%s cutoff, workers=%d: %.2f allocs/round, want at most 4", p.side, workers, large)
+			if large > 1.5 {
+				t.Errorf("%s cutoff, workers=%d: %.2f allocs/round, want at most 1.5", p.side, workers, large)
 			}
 		}
 	}

@@ -48,10 +48,10 @@ type Event struct {
 	// (shards executed, shards picked up by helper workers).
 	Shards int `json:"shards,omitempty"`
 	Stolen int `json:"stolen,omitempty"`
-	// ComputeNS / DeliverNS are the round's phase durations; DurNS is the
-	// duration of a span event.
+	// ComputeNS is the duration of a round's one pass, in which the
+	// machines step and their messages reach the next round's inboxes;
+	// DurNS is the duration of a span event.
 	ComputeNS int64 `json:"compute_ns,omitempty"`
-	DeliverNS int64 `json:"deliver_ns,omitempty"`
 	DurNS     int64 `json:"dur_ns,omitempty"`
 	// ScanNS / ResampleNS split a resampling iteration's duration between
 	// the violated-event scan and the resampling work (mt_iteration).

@@ -15,8 +15,8 @@ func batchOf(cache bool, subs ...JobSpec) JobSpec {
 }
 
 // TestBatchMatchesSolo: every instance of a batch job reports exactly the
-// counters the solo path produces for the same spec — the packed execution
-// is observationally identical to one job per instance.
+// counters a solo job produces for the same spec, since every batch leader
+// runs through RunSpec, the solo path.
 func TestBatchMatchesSolo(t *testing.T) {
 	s := realService(t, obs.NewRegistry(), 0) // no cache: pure execution equality
 
@@ -26,7 +26,7 @@ func TestBatchMatchesSolo(t *testing.T) {
 		{Family: FamilySinkless, N: 16, Algorithm: AlgMTSeq, Seed: 7},
 		{Family: FamilySinkless, N: 16, Algorithm: AlgSeq, Seed: 1},
 		{Family: FamilyHyper, N: 18, Algorithm: AlgOneShot, Seed: 8},
-		{Family: FamilySinkless, N: 12, Algorithm: AlgDist, Seed: 9}, // LOCAL: solo fallback inside the batch
+		{Family: FamilySinkless, N: 12, Algorithm: AlgDist, Seed: 9}, // LOCAL (Corollary 1.2)
 	}
 	solo := make([]*Summary, len(subs))
 	for i, sub := range subs {

@@ -163,13 +163,14 @@ type JobSpec struct {
 	// it has no behavioral effect.
 	BatchGroup string `json:"batch_group,omitempty"`
 	// Batch turns the job into a multi-instance batch: every entry is a
-	// full JobSpec (nested batches are rejected) and the job runs them all,
-	// packing instances that share an algorithm into single engine runs
-	// (see internal/batch). The top-level instance/algorithm fields are
-	// ignored; Workers, TimeoutMS, retry and fault fields still apply to
-	// the batch job as a whole, and Cache applies per instance. Results
-	// arrive in Summary.Instances, and the event stream is multiplexed by
-	// the 1-based Event.Instance id.
+	// full JobSpec (nested batches are rejected) and the job runs them all.
+	// Identical cache misses are deduplicated, and every remaining leader
+	// runs through RunSpec, the solo path, concurrently on the job's engine
+	// pool, so each instance's result is the solo result of its spec. The
+	// top-level instance/algorithm fields are ignored; Workers, TimeoutMS,
+	// retry and fault fields still apply to the batch job as a whole, and
+	// Cache applies per instance. Results arrive in Summary.Instances, and
+	// the event stream is multiplexed by the 1-based Event.Instance id.
 	Batch []JobSpec `json:"batch,omitempty"`
 }
 
