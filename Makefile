@@ -83,15 +83,17 @@ fuzz:
 # against the closed-form surface, the bit-packed assignment's
 # pack/unpack/flip round-trip against model.Assignment, and the tenant
 # policy parser's invariants (normalization idempotence, default tenant
-# materialization, limit validation), and the router's spliced round line
-# against a decode-and-re-encode of the same event. Nightly CI runs the
-# same targets for 5 minutes each.
+# materialization, limit validation), the router's spliced round line
+# against a decode-and-re-encode of the same event, and the event log's
+# direct encoding of a round event against json.Marshal. Nightly CI runs
+# the same targets for 5 minutes each.
 fuzz-short:
 	$(GO) test -run=NONE -fuzz='^FuzzPStarInvariant$$' -fuzztime=30s ./internal/core/
 	$(GO) test -run=NONE -fuzz='^FuzzRepresentableTriple$$' -fuzztime=30s ./internal/srep/
 	$(GO) test -run=NONE -fuzz='^FuzzAssignmentPackRoundTrip$$' -fuzztime=30s ./internal/kernel/
 	$(GO) test -run=NONE -fuzz='^FuzzTenantSpec$$' -fuzztime=30s ./internal/tenant/
 	$(GO) test -run=NONE -fuzz='^FuzzAppendRelayedRound$$' -fuzztime=30s ./internal/service/
+	$(GO) test -run=NONE -fuzz='^FuzzAppendRound$$' -fuzztime=30s ./internal/service/
 
 clean:
 	$(GO) clean -testcache

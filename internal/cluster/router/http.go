@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"strconv"
 	"strings"
 
 	"repro/internal/cluster"
@@ -136,7 +135,7 @@ func NewHandler(r *Router, reg *obs.Registry) http.Handler {
 			http.Error(w, service.ErrNotFound.Error(), http.StatusNotFound)
 			return
 		}
-		streamRoutedEvents(w, req, job)
+		service.ServeEvents(w, req, job.eventsSince)
 	})
 
 	mux.HandleFunc("GET /cluster", func(w http.ResponseWriter, _ *http.Request) {
@@ -300,45 +299,6 @@ func (r *Router) federatedSLO(w http.ResponseWriter, req *http.Request) {
 		out[st.Name] = body
 	}
 	writeJSON(w, http.StatusOK, out)
-}
-
-// streamRoutedEvents serves the router's relayed stream as NDJSON with the
-// same follow-to-terminal and ?from=N semantics as a node's own stream.
-// Whatever is relayed since the last write goes out in one write and one
-// flush.
-func streamRoutedEvents(w http.ResponseWriter, req *http.Request, job *routedJob) {
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	w.Header().Set("Cache-Control", "no-store")
-	w.WriteHeader(http.StatusOK)
-	flusher, _ := w.(http.Flusher)
-
-	next := 0
-	if f := req.URL.Query().Get("from"); f != "" {
-		if n, err := strconv.Atoi(f); err == nil && n > 0 {
-			next = n
-		}
-	}
-	for {
-		lines, n, more, state := job.eventsSince(next)
-		if n > 0 {
-			if _, err := w.Write(lines); err != nil {
-				return
-			}
-			if flusher != nil {
-				flusher.Flush()
-			}
-			next += n
-			continue
-		}
-		if state.Terminal() {
-			return
-		}
-		select {
-		case <-more:
-		case <-req.Context().Done():
-			return
-		}
-	}
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {

@@ -136,14 +136,7 @@ type routedJob struct {
 	node      string // current node
 	nodeJobID string // id on that node
 	nodeSeen  int    // events consumed from the current node's stream
-	// stream is the relayed NDJSON stream, one line per event, and ends[i]
-	// is the offset just past event i's newline. Bytes once appended never
-	// change, so a reader may keep a slice of stream after unlocking.
-	stream []byte
-	ends   []int
-	// more is closed on the next append; it is made when a reader has
-	// nothing left to read, so an append no one waits for allocates none.
-	more      chan struct{}
+	log       service.EventLog
 	state     service.State
 	errMsg    string
 	result    *service.Summary
@@ -476,76 +469,46 @@ func (r *Router) place(job *routedJob, skip string) (string, *service.View, *sub
 }
 
 // append adds one relayed event to the job's stream with a continuous
-// router-scope Seq and wakes stream readers. The event is stored as its
-// json.Marshal bytes, which is what an encoder writes for it. An "end"
-// event also records the job's terminal state, under the same lock, so no
-// reader sees the terminal state before the event. It reports whether the
+// router-scope Seq and wakes stream readers. A "queued", "start" or "end"
+// event also records the job's state, under the same lock, so no reader
+// sees the terminal state before the "end" event. It reports whether the
 // event turned a live job terminal.
 func (j *routedJob) append(e service.Event) (turned bool) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if e.Kind == "end" {
+	switch e.Kind {
+	case "queued":
+		j.state = service.StateQueued
+	case "start":
+		j.state = service.StateRunning
+	case "end":
 		turned = !j.state.Terminal() && e.State.Terminal()
 		j.state = e.State
 		j.errMsg = e.Err
 	}
-	e.Seq = len(j.ends)
-	line, err := json.Marshal(e)
-	if err != nil {
-		// Every field of an Event encodes, except a float that is NaN or
-		// infinite, and none of those decodes from a node's stream.
-		panic(fmt.Sprintf("router: encode event %q: %v", e.Kind, err))
-	}
-	j.pushLocked(append(j.stream, line...))
+	j.log.Append(&e) // its checkpoint, if any, was decoded from JSON, so it encodes
 	return turned
 }
 
 // appendRound relays a node line that is a "round" event without decoding
-// it (see service.AppendRelayedRound), counting it as consumed from the
-// node. It reports false when the line must be decoded instead.
+// it (see service.EventLog.Relay), counting it as consumed from the node.
+// It reports false when the line must be decoded instead.
 func (j *routedJob) appendRound(line []byte, node string) bool {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	stream, ok := service.AppendRelayedRound(j.stream, line, len(j.ends), node)
-	if !ok {
+	if !j.log.Relay(line, node) {
 		return false
 	}
 	j.nodeSeen++
-	j.pushLocked(stream)
 	return true
 }
 
-// pushLocked ends the event just written at the tail of stream and wakes
-// the readers waiting for it.
-func (j *routedJob) pushLocked(stream []byte) {
-	j.stream = append(stream, '\n')
-	j.ends = append(j.ends, len(j.stream))
-	if j.more != nil {
-		close(j.more)
-		j.more = nil
-	}
-}
-
-// eventsSince returns the relayed NDJSON lines from seq on, how many events
-// they hold, and the current state (mirrors service.Job.EventsSince for the
-// stream handler). The lines share the job's buffer, which never rewrites
-// them. When there is nothing to return yet, it also returns a channel
-// that the next append closes; otherwise that channel is nil.
+// eventsSince is service.Job.EventsSince for the relayed stream.
 func (j *routedJob) eventsSince(seq int) ([]byte, int, <-chan struct{}, service.State) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if seq >= len(j.ends) {
-		if j.more == nil {
-			j.more = make(chan struct{})
-		}
-		return nil, 0, j.more, j.state
-	}
-	start := 0
-	if seq > 0 {
-		start = j.ends[seq-1]
-	}
-	end := len(j.stream)
-	return j.stream[start:end:end], len(j.ends) - seq, nil, j.state
+	lines, n, more := j.log.Since(seq)
+	return lines, n, more, j.state
 }
 
 // view synthesizes the router-scope job view from the local mirror.
@@ -558,7 +521,7 @@ func (j *routedJob) view() service.View {
 		State:    j.state,
 		Spec:     j.spec,
 		Created:  j.created.UTC().Format(time.RFC3339Nano),
-		Events:   len(j.ends),
+		Events:   j.log.Len(),
 		Error:    j.errMsg,
 		Result:   j.result,
 		Node:     j.node,
@@ -767,13 +730,6 @@ func (r *Router) streamOnce(job *routedJob) (terminal bool, err error) {
 			r.m.relayed.Inc()
 			r.end(job, e)
 			return true, nil
-		}
-		if e.Kind == "queued" || e.Kind == "start" {
-			job.mu.Lock()
-			job.state = map[string]service.State{
-				"queued": service.StateQueued, "start": service.StateRunning,
-			}[e.Kind]
-			job.mu.Unlock()
 		}
 		e.Node = node
 		r.m.relayed.Inc()

@@ -217,7 +217,8 @@ func TestColoringPooledMatchesInline(t *testing.T) {
 		{"distance-2-native", func(o local.Options) (*Result, error) { return DistributedDistance2Native(g, o) }},
 	} {
 		t.Run(c.name, func(t *testing.T) {
-			inline, err := c.run(local.Options{IDSeed: 17, Workers: 1})
+			inlineReg := obs.NewRegistry()
+			inline, err := c.run(local.Options{IDSeed: 17, Workers: 1, Metrics: inlineReg})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -226,7 +227,11 @@ func TestColoringPooledMatchesInline(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			// An inline round hands the engine one shard per phase.
+			// An inline round is one shard; the pool splits a round of this
+			// size into many more (16).
+			if shards, rounds := inlineReg.Counter("engine_shards_total").Value(), inlineReg.Counter("local_rounds_total").Value(); rounds == 0 || shards != rounds {
+				t.Fatalf("Workers 1: %d shards in %d rounds, want one shard per round", shards, rounds)
+			}
 			if shards, rounds := reg.Counter("engine_shards_total").Value(), reg.Counter("local_rounds_total").Value(); shards <= 2*rounds {
 				t.Fatalf("Workers 2: %d shards in %d rounds, so the rounds ran inline, not on the pool", shards, rounds)
 			}

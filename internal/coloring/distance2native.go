@@ -32,11 +32,9 @@ type d2PairsMsg struct{ pairs []d2Pair }
 // d2Machine runs Linial colour reduction + Kuhn-Wattenhofer halving against
 // the colours of all nodes within distance 2.
 type d2Machine struct {
-	info     local.NodeInfo
-	schedule []Step
-	target   int
-	rounds   int // the final round
-	color    int
+	info  local.NodeInfo
+	plan  *plan
+	color int
 	// heard holds the colours of the nodes within distance two (excluding
 	// self), rebuilt in the A rounds whose step reads them (see fold). A
 	// node reached on several paths appears several times; Reduce and
@@ -51,21 +49,18 @@ type d2Machine struct {
 	err  error
 }
 
-// newD2Machine returns a machine of the distance-2 colouring. Logical
-// steps are len(schedule) Linial reductions plus the Kuhn-Wattenhofer
-// reduction rounds; step t is applied in (odd) real round 2t+3, and the
-// final round is 2·steps+1.
-func newD2Machine(k0, deltaSq, target int) *d2Machine {
-	schedule := Schedule(k0, deltaSq)
-	steps := len(schedule) + kwRounds(FinalPalette(k0, deltaSq), target)
-	return &d2Machine{schedule: schedule, target: target, rounds: 2*steps + 1}
+// newD2Machine returns a machine of the distance-2 colouring that follows
+// p: logical step t is applied in (odd) real round 2t+3, and the final
+// round is 2·p.steps+1.
+func newD2Machine(p *plan) *d2Machine {
+	return &d2Machine{plan: p}
 }
 
 func (m *d2Machine) Init(info local.NodeInfo) {
 	m.info = info
 	m.color = int(info.ID)
 	m.send = make([]local.Message, info.Degree())
-	m.used = make([]bool, m.target)
+	m.used = make([]bool, m.plan.target)
 	// Sized once for the largest payloads: a B round forwards this node
 	// and its neighbours, and each neighbour's payload adds at most
 	// MaxDegree entries to heard (itself and its other neighbours).
@@ -74,9 +69,8 @@ func (m *d2Machine) Init(info local.NodeInfo) {
 }
 
 // fold type-checks the B-round payloads in recv and, when keep is set,
-// rebuilds heard from them; otherwise heard is left empty. The Linial step
-// reads heard at every node, a Kuhn-Wattenhofer round only at the nodes
-// whose class it reduces (kwReduces), so the other nodes skip the copy.
+// rebuilds heard from them; otherwise heard is left empty. A step that
+// does not read the neighbours' colours (plan.reads) skips the copy.
 // It reports false, with m.err set, on a payload of the wrong type.
 func (m *d2Machine) fold(recv []local.Message, keep bool) bool {
 	m.heard = m.heard[:0]
@@ -111,35 +105,21 @@ func (m *d2Machine) Round(round int, recv []local.Message) ([]local.Message, boo
 		// step and broadcast the colour.
 		if round > 1 {
 			step := (round - 3) / 2 // logical step index applied this round
-			switch {
-			case step < len(m.schedule):
-				if !m.fold(recv, true) {
-					return nil, true
-				}
-				next, err := Reduce(m.schedule[step], m.color, m.heard)
-				if err != nil {
-					m.err = err
-					return nil, true
-				}
-				m.color = next
-			default:
-				j := (step - len(m.schedule)) % m.target
-				if !m.fold(recv, kwReduces(m.target, j, m.color)) {
-					return nil, true
-				}
-				next, ok := kwStep(m.target, j, m.color, m.heard, m.used)
-				if !ok {
-					m.err = fmt.Errorf("coloring: no free colour below target %d", m.target)
-					return nil, true
-				}
-				m.color = next
+			if !m.fold(recv, m.plan.reads(step, m.color)) {
+				return nil, true
 			}
+			next, err := m.plan.apply(step, m.color, m.heard, m.used)
+			if err != nil {
+				m.err = err
+				return nil, true
+			}
+			m.color = next
 		}
 		msg := local.Message(d2ColorMsg(m.color))
 		for i := range m.send {
 			m.send[i] = msg
 		}
-		return m.send, round >= m.rounds
+		return m.send, round >= 2*m.plan.steps+1
 	}
 
 	// B round: forward the colours received in the A round, plus our own.
@@ -175,9 +155,10 @@ func DistributedDistance2Native(g *graph.Graph, opts local.Options) (*Result, er
 	if k0 < target {
 		k0 = target
 	}
+	p := newPlan(k0, deltaSq, target)
 	machines := make([]*d2Machine, g.N())
 	stats, err := local.Run(g, func(v int) local.Machine {
-		machines[v] = newD2Machine(k0, deltaSq, target)
+		machines[v] = newD2Machine(p)
 		return machines[v]
 	}, opts)
 	if err != nil {

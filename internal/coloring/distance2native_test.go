@@ -1,6 +1,7 @@
 package coloring
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/graph"
@@ -87,6 +88,65 @@ func TestDistance2NativeLogStarGrowth(t *testing.T) {
 	small, big := rounds(16), rounds(512)
 	if big-small > 8 {
 		t.Fatalf("rounds grew from %d to %d; expected log* growth", small, big)
+	}
+}
+
+// TestVerifyDistance2MatchesSquare checks the square-free distance-2
+// check against Verify on the square graph, its reference: on random
+// graphs with proper distance-2 colourings, and with conflicts planted at
+// distance one, two and three (not a conflict), uncoloured nodes and a
+// short colour slice, both must agree on nil or on the error message, which
+// names the pair. The check allocates nothing.
+func TestVerifyDistance2MatchesSquare(t *testing.T) {
+	r := prng.New(53)
+	graphs := []*graph.Graph{
+		graph.Cycle(9), graph.Path(5), graph.Grid(4, 6), graph.CompleteBinaryTree(31),
+		graph.Complete(6), graph.NewBuilder(4).Build(), mustRegular(t, 40, 3, r), mustRegular(t, 72, 5, r),
+		graph.RandomBoundedDegree(60, 90, 6, r), graph.RandomTree(50, r),
+	}
+	for gi, g := range graphs {
+		sq := g.Square()
+		proper := Greedy(sq)
+		if err := VerifyDistance2(g, proper); err != nil {
+			t.Fatalf("graph %d: greedy square colouring rejected: %v", gi, err)
+		}
+		if allocs := testing.AllocsPerRun(10, func() { VerifyDistance2(g, proper) }); allocs != 0 {
+			t.Fatalf("graph %d: %v allocations per check, want 0", gi, allocs)
+		}
+		check := func(what string, colors []int) {
+			t.Helper()
+			got, want := VerifyDistance2(g, colors), Verify(sq, colors)
+			if (got == nil) != (want == nil) || (got != nil && got.Error() != want.Error()) {
+				t.Fatalf("graph %d, %s: VerifyDistance2 = %v, square check = %v", gi, what, got, want)
+			}
+		}
+		check("short", proper[:len(proper)/2])
+		n := g.N()
+		if n == 0 {
+			continue
+		}
+		for trial := 0; trial < 200; trial++ {
+			colors := append([]int(nil), proper...)
+			for k := 0; k <= trial%3; k++ {
+				v := r.Intn(n)
+				switch trial % 4 {
+				case 0: // a neighbour's colour
+					if g.Degree(v) > 0 {
+						colors[v] = colors[g.Neighbor(v, r.Intn(g.Degree(v)))]
+					}
+				case 1: // a colour two hops away
+					if g.Degree(v) > 0 {
+						u := g.Neighbor(v, r.Intn(g.Degree(v)))
+						colors[v] = colors[g.Neighbor(u, r.Intn(g.Degree(u)))]
+					}
+				case 2: // any node's colour, near or far
+					colors[v] = colors[r.Intn(n)]
+				case 3:
+					colors[v] = -1
+				}
+			}
+			check(fmt.Sprintf("trial %d", trial), colors)
+		}
 	}
 }
 

@@ -23,12 +23,9 @@ type eoValueMsg map[int]int
 
 // eoMachine simulates the line-graph colouring for the edges its node owns.
 type eoMachine struct {
-	g        *graph.Graph
-	me       int
-	schedule []Step
-	kwSched  []int
-	finalK   int
-	target   int
+	g    *graph.Graph
+	me   int
+	plan *plan
 
 	info  local.NodeInfo
 	owned []int // edge IDs owned by this node (lower endpoint)
@@ -40,16 +37,12 @@ type eoMachine struct {
 	err      error
 }
 
-func newEOMachine(g *graph.Graph, me, k0, deltaL, target int) *eoMachine {
-	finalK := FinalPalette(k0, deltaL)
+func newEOMachine(g *graph.Graph, me int, p *plan) *eoMachine {
 	m := &eoMachine{
 		g:        g,
 		me:       me,
-		schedule: Schedule(k0, deltaL),
-		kwSched:  kwSchedule(finalK, target),
-		finalK:   finalK,
-		target:   target,
-		used:     make([]bool, target),
+		plan:     p,
+		used:     make([]bool, p.target),
 		adjEdges: make(map[int][]int),
 		colors:   make(map[int]int),
 		heard:    make(map[int]int),
@@ -93,12 +86,6 @@ func (m *eoMachine) Init(info local.NodeInfo) {
 	}
 }
 
-func (m *eoMachine) logicalSteps() int {
-	return len(m.schedule) + kwRounds(m.finalK, m.target)
-}
-
-func (m *eoMachine) totalRounds() int { return 2*m.logicalSteps() + 1 }
-
 func (m *eoMachine) Round(round int, recv []local.Message) ([]local.Message, bool) {
 	if m.err != nil {
 		return nil, true
@@ -136,23 +123,12 @@ func (m *eoMachine) Round(round int, recv []local.Message) ([]local.Message, boo
 						return nil, true
 					}
 				}
-				switch {
-				case step < len(m.schedule):
-					next, err := Reduce(m.schedule[step], m.colors[id], neighborColors)
-					if err != nil {
-						m.err = err
-						return nil, true
-					}
-					m.colors[id] = next
-				default:
-					j := (step - len(m.schedule)) % m.target
-					next, ok := kwStep(m.target, j, m.colors[id], neighborColors, m.used)
-					if !ok {
-						m.err = fmt.Errorf("coloring: no free colour below target %d", m.target)
-						return nil, true
-					}
-					m.colors[id] = next
+				next, err := m.plan.apply(step, m.colors[id], neighborColors, m.used)
+				if err != nil {
+					m.err = err
+					return nil, true
 				}
+				m.colors[id] = next
 			}
 		}
 		msg := make(eoValueMsg, len(m.owned))
@@ -163,7 +139,7 @@ func (m *eoMachine) Round(round int, recv []local.Message) ([]local.Message, boo
 		for i := range send {
 			send[i] = msg
 		}
-		return send, round >= m.totalRounds()
+		return send, round >= 2*m.plan.steps+1
 	}
 
 	// B round: forward everything received plus own colours.
@@ -208,9 +184,10 @@ func DistributedEdgeColoringNative(g *graph.Graph, opts local.Options) (*Result,
 	if k0 < target {
 		k0 = target
 	}
+	p := newPlan(k0, deltaL, target)
 	machines := make([]*eoMachine, g.N())
 	stats, err := local.Run(g, func(v int) local.Machine {
-		machines[v] = newEOMachine(g, v, k0, deltaL, target)
+		machines[v] = newEOMachine(g, v, p)
 		return machines[v]
 	}, opts)
 	if err != nil {

@@ -307,10 +307,10 @@ func TestDistance2NativeMatchesExhaustiveSimulation(t *testing.T) {
 // does not read the forwarded colours still rejects a payload of the
 // wrong type.
 func TestDistance2TypeChecksUnfoldedRounds(t *testing.T) {
-	m := newD2Machine(1000, 4, 5)
+	m := newD2Machine(newPlan(1000, 4, 5))
 	m.Init(local.NodeInfo{ID: 3, NeighborIDs: []uint64{1, 2}, N: 3, MaxDegree: 2})
 	m.color = 0 // class 0 is never reduced, so no KW round folds
-	round := 2*len(m.schedule) + 3
+	round := 2*len(m.plan.linial) + 3
 	if _, done := m.Round(round, []local.Message{&d2PairsMsg{}, d2ColorMsg(1)}); !done || m.err == nil {
 		t.Fatalf("wrong payload type accepted: done=%v err=%v", done, m.err)
 	}

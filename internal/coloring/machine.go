@@ -25,45 +25,69 @@ type Result struct {
 	Messages int
 }
 
+// plan is the colour reduction of one run: Linial steps from the initial
+// palette of k0 colours down to O(Δ²), then Kuhn-Wattenhofer halving down
+// to the target palette. Every node would derive the same plan from
+// (k0, Δ, target), which is what keeps the machines synchronized without
+// coordination messages, so each Distributed* entry point plans once and
+// its machines share the plan read-only.
+type plan struct {
+	linial []Step
+	target int
+	steps  int // logical steps: len(linial) + the Kuhn-Wattenhofer rounds
+}
+
+func newPlan(k0, delta, target int) *plan {
+	linial := Schedule(k0, delta)
+	finalK := k0
+	if len(linial) > 0 {
+		finalK = linial[len(linial)-1].NewK()
+	}
+	return &plan{linial: linial, target: target, steps: len(linial) + kwRounds(finalK, target)}
+}
+
+// reads reports whether a node of the given colour reads its neighbours'
+// colours in logical step step: every node in a Linial step, only the
+// nodes whose class is reduced in a Kuhn-Wattenhofer round (kwReduces).
+func (p *plan) reads(step, color int) bool {
+	return step < len(p.linial) || kwReduces(p.target, (step-len(p.linial))%p.target, color)
+}
+
+// apply is one node's side of logical step step: its colour after the
+// step, from its colour and its neighbours'. used is kwStep's scratch.
+func (p *plan) apply(step, color int, neighborColors []int, used []bool) (int, error) {
+	if step < len(p.linial) {
+		return Reduce(p.linial[step], color, neighborColors)
+	}
+	next, ok := kwStep(p.target, (step-len(p.linial))%p.target, color, neighborColors, used)
+	if !ok {
+		return 0, fmt.Errorf("coloring: no free colour below target %d", p.target)
+	}
+	return next, nil
+}
+
 // vcMachine is the distributed vertex-colouring machine: Linial colour
 // reduction from the ID space down to O(Δ²) colours in O(log* n) rounds,
 // followed by Kuhn-Wattenhofer block halving down to the target palette in
 // O(Δ·log Δ) further rounds.
 //
-// Every node computes the identical reduction schedule from (K0, Δ) locally,
-// so the phases stay synchronized without any coordination messages.
+// Every node follows the same plan, so the phases stay synchronized
+// without any coordination messages.
 type vcMachine struct {
-	info     local.NodeInfo
-	schedule []Step
-	kwSched  []int
-	finalK   int
-	target   int
-	color    int
-	used     []bool // kwStep's scratch
-	err      error
+	info  local.NodeInfo
+	plan  *plan
+	color int
+	used  []bool // kwStep's scratch
+	err   error
 }
 
-func newVCMachine(k0, delta, target int) *vcMachine {
-	finalK := FinalPalette(k0, delta)
-	m := &vcMachine{
-		schedule: Schedule(k0, delta),
-		kwSched:  kwSchedule(finalK, target),
-		finalK:   finalK,
-		target:   target,
-		used:     make([]bool, target),
-	}
-	return m
+func newVCMachine(p *plan) *vcMachine {
+	return &vcMachine{plan: p, used: make([]bool, p.target)}
 }
 
 func (m *vcMachine) Init(info local.NodeInfo) {
 	m.info = info
 	m.color = int(info.ID)
-}
-
-// totalRounds is 1 initial broadcast + one round per Linial step + the
-// Kuhn-Wattenhofer reduction rounds.
-func (m *vcMachine) totalRounds() int {
-	return 1 + len(m.schedule) + kwRounds(m.finalK, m.target)
 }
 
 func (m *vcMachine) Round(round int, recv []local.Message) ([]local.Message, bool) {
@@ -85,31 +109,19 @@ func (m *vcMachine) Round(round int, recv []local.Message) ([]local.Message, boo
 			}
 			neighborColors = append(neighborColors, c)
 		}
-		step := round - 2 // schedule index handled in this round
-		switch {
-		case step < len(m.schedule):
-			next, err := Reduce(m.schedule[step], m.color, neighborColors)
-			if err != nil {
-				m.err = err
-				return nil, true
-			}
-			m.color = next
-		default:
-			// Kuhn-Wattenhofer halving round.
-			j := (step - len(m.schedule)) % m.target
-			next, ok := kwStep(m.target, j, m.color, neighborColors, m.used)
-			if !ok {
-				m.err = fmt.Errorf("coloring: no free colour below target %d", m.target)
-				return nil, true
-			}
-			m.color = next
+		// Round r applies logical step r-2, after the initial broadcast.
+		next, err := m.plan.apply(round-2, m.color, neighborColors, m.used)
+		if err != nil {
+			m.err = err
+			return nil, true
 		}
+		m.color = next
 	}
 	send := make([]local.Message, m.info.Degree())
 	for i := range send {
 		send[i] = m.color
 	}
-	return send, round >= m.totalRounds()
+	return send, round >= 1+m.plan.steps
 }
 
 // smallestFree returns the smallest colour in [0, target) not present in
@@ -144,9 +156,10 @@ func DistributedVertexColoring(g *graph.Graph, opts local.Options, target int) (
 	if k0 < target {
 		k0 = target
 	}
+	p := newPlan(k0, delta, target)
 	machines := make([]*vcMachine, g.N())
 	stats, err := local.Run(g, func(v int) local.Machine {
-		machines[v] = newVCMachine(k0, delta, target)
+		machines[v] = newVCMachine(p)
 		return machines[v]
 	}, opts)
 	if err != nil {

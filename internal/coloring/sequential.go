@@ -65,10 +65,38 @@ func Verify(g *graph.Graph, colors []int) error {
 	return nil
 }
 
-// VerifyDistance2 checks that colors is a distance-2 colouring of g (proper
-// on the square graph).
+// VerifyDistance2 checks that colors is a distance-2 colouring of g: a
+// proper colouring of g's square. It reads each node's neighbours and their
+// neighbours on g, without building the square or allocating, and fails as
+// Verify(g.Square(), colors) does: at the first node that is uncoloured or
+// shares its colour within distance two, naming the lowest node it shares
+// it with.
 func VerifyDistance2(g *graph.Graph, colors []int) error {
-	return Verify(g.Square(), colors)
+	if len(colors) != g.N() {
+		return fmt.Errorf("coloring: %d colours for %d nodes", len(colors), g.N())
+	}
+	for v := 0; v < g.N(); v++ {
+		c := colors[v]
+		if c < 0 {
+			return fmt.Errorf("coloring: node %d uncoloured", v)
+		}
+		clash := -1
+		for i := 0; i < g.Degree(v); i++ {
+			u := g.Neighbor(v, i)
+			if colors[u] == c && (clash < 0 || u < clash) {
+				clash = u
+			}
+			for j := 0; j < g.Degree(u); j++ {
+				if w := g.Neighbor(u, j); w != v && colors[w] == c && (clash < 0 || w < clash) {
+					clash = w
+				}
+			}
+		}
+		if clash >= 0 {
+			return fmt.Errorf("coloring: adjacent nodes %d and %d share colour %d", v, clash, c)
+		}
+	}
+	return nil
 }
 
 // CountColors returns the number of distinct colours used.

@@ -110,11 +110,16 @@ func TestDeltaRelayMatchesFlooding(t *testing.T) {
 	c = sinklessCase(t, 1366, 2, 9)
 	t.Run(c.name, func(t *testing.T) {
 		for rank := c.rank; rank <= 3; rank++ {
-			inline := assertMatchesFlooding(t, c.inst, rank, Options{}, local.Options{IDSeed: 1366, Workers: 1})
+			inlineReg := obs.NewRegistry()
+			inline := assertMatchesFlooding(t, c.inst, rank, Options{}, local.Options{IDSeed: 1366, Workers: 1, Metrics: inlineReg})
 			reg := obs.NewRegistry()
 			pooled := assertMatchesFlooding(t, c.inst, rank, Options{}, local.Options{IDSeed: 1366, Workers: 2, Metrics: reg})
 			assertSameDistResult(t, fmt.Sprintf("FixDistributed%d/workers=2 vs 1", rank), pooled, inline)
-			// An inline round hands the engine one shard per phase.
+			// An inline round is one shard; the pool splits a round of this
+			// size into many more (16).
+			if shards, rounds := inlineReg.Counter("engine_shards_total").Value(), inlineReg.Counter("local_rounds_total").Value(); rounds == 0 || shards != rounds {
+				t.Fatalf("FixDistributed%d at Workers 1: %d shards in %d rounds, want one shard per round", rank, shards, rounds)
+			}
 			if shards, rounds := reg.Counter("engine_shards_total").Value(), reg.Counter("local_rounds_total").Value(); shards <= 2*rounds {
 				t.Fatalf("FixDistributed%d at Workers 2: %d shards in %d rounds, so the rounds ran inline, not on the pool", rank, shards, rounds)
 			}

@@ -257,6 +257,10 @@ func (g *Graph) HasEdge(u, v int) bool {
 	return ok
 }
 
+// Neighbor returns v's i-th neighbour in ascending order (0 ≤ i <
+// Degree(v)), without allocating.
+func (g *Graph) Neighbor(v, i int) int { return g.adj[v][i].node }
+
 // ForEachNeighbor calls fn for each neighbor of v with the neighbor and the
 // connecting edge identifier, in ascending neighbor order.
 func (g *Graph) ForEachNeighbor(v int, fn func(u, edgeID int)) {

@@ -88,7 +88,7 @@ func TestBatchInBatchDedup(t *testing.T) {
 	if got := reg.Counter("cache_stores_total").Value(); got != 1 {
 		t.Errorf("cache_stores_total = %d, want 1 (only the leader solves)", got)
 	}
-	events, _, _ := j.EventsSince(0)
+	events, _, _ := jobEvents(t, j, 0)
 	rounds := 0
 	for _, e := range events {
 		if e.Kind != "round" {
@@ -155,7 +155,7 @@ func TestBatchEvents(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitState(t, j, StateDone)
-	events, _, _ := j.EventsSince(0)
+	events, _, _ := jobEvents(t, j, 0)
 
 	ends := map[int]bool{}
 	rounds := 0
@@ -229,7 +229,7 @@ func TestBatchCancelStartsNoMoreLeaders(t *testing.T) {
 		t.Fatal(err)
 	}
 	for from := 0; ; {
-		events, more, state := j.EventsSince(from)
+		events, more, state := jobEvents(t, j, from)
 		from += len(events)
 		started := false
 		for _, e := range events {
@@ -241,14 +241,16 @@ func TestBatchCancelStartsNoMoreLeaders(t *testing.T) {
 		if state.Terminal() {
 			t.Fatalf("batch ended %s before instance 1 emitted a round", state)
 		}
-		<-more
+		if more != nil {
+			<-more
+		}
 	}
 	if _, err := s.Cancel(j.ID); err != nil {
 		t.Fatal(err)
 	}
 	waitState(t, j, StateCancelled)
 
-	events, _, _ := j.EventsSince(0)
+	events, _, _ := jobEvents(t, j, 0)
 	ends := map[int]string{}
 	for _, e := range events {
 		if e.Kind == "round" && e.Instance != 1 {

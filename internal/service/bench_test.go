@@ -25,8 +25,8 @@ func benchRun(b *testing.B, s *Service, js JobSpec) *Summary {
 	}
 	from := 0
 	for {
-		events, more, state := j.EventsSince(from)
-		from += len(events)
+		_, n, more, state := j.EventsSince(from)
+		from += n
 		switch state {
 		case StateDone:
 			v := j.View()
@@ -37,7 +37,9 @@ func benchRun(b *testing.B, s *Service, js JobSpec) *Summary {
 		case StateFailed, StateCancelled:
 			b.Fatalf("job %s ended %s: %s", j.ID, state, j.View().Error)
 		}
-		<-more
+		if more != nil {
+			<-more
+		}
 	}
 }
 

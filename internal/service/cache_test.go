@@ -67,7 +67,7 @@ func TestCacheHitBitIdentical(t *testing.T) {
 		t.Fatalf("cache hit is not bit-identical to the cold solve:\ncold: %+v\nwarm: %+v", *cold, normalized)
 	}
 
-	events, _, _ := j.EventsSince(0)
+	events, _, _ := jobEvents(t, j, 0)
 	found := false
 	for _, e := range events {
 		if e.Kind == "cache_hit" {

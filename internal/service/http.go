@@ -130,7 +130,7 @@ func NewHandler(s *Service, reg *obs.Registry) http.Handler {
 			http.Error(w, err.Error(), http.StatusNotFound)
 			return
 		}
-		streamEvents(w, r, job)
+		ServeEvents(w, r, job.EventsSince)
 	})
 
 	mux.HandleFunc("GET /v1/jobs/{id}/checkpoint", s.exportCheckpoint)
@@ -254,53 +254,6 @@ func (req BatchRequest) JobSpec() (JobSpec, error) {
 		MaxRetries: req.MaxRetries,
 		Tenant:     req.Tenant,
 	}, nil
-}
-
-// streamEvents serves a job's event stream as NDJSON: every event already
-// recorded, then live events as they are appended, until the job reaches a
-// terminal state (the "end" event is always the last line) or the client
-// disconnects. Each line is flushed immediately so a curl reader sees
-// rounds as they happen. A ?from=N query resumes the stream at sequence N,
-// letting a disconnected client re-attach without replaying what it saw.
-func streamEvents(w http.ResponseWriter, r *http.Request, job *Job) {
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	w.Header().Set("Cache-Control", "no-store")
-	w.WriteHeader(http.StatusOK)
-	flusher, _ := w.(http.Flusher)
-	enc := json.NewEncoder(w)
-
-	next := 0
-	if f := r.URL.Query().Get("from"); f != "" {
-		if n, err := strconv.Atoi(f); err == nil && n > 0 {
-			next = n
-		}
-	}
-	for {
-		events, more, state := job.EventsSince(next)
-		for _, e := range events {
-			if err := enc.Encode(e); err != nil {
-				return // client gone
-			}
-		}
-		next += len(events)
-		if len(events) > 0 && flusher != nil {
-			flusher.Flush()
-		}
-		// Only stop once the stream is fully drained: state and events
-		// update atomically under the job's lock, so a terminal snapshot
-		// already contains the final "end" event.
-		if len(events) == 0 && state.Terminal() {
-			return
-		}
-		if len(events) > 0 {
-			continue
-		}
-		select {
-		case <-more:
-		case <-r.Context().Done():
-			return
-		}
-	}
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {

@@ -1,12 +1,9 @@
 package service
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"strconv"
 	"sync"
 	"time"
 
@@ -123,101 +120,6 @@ type Event struct {
 	FlightTotal int64             `json:"flight_total,omitempty"`
 }
 
-// roundKeys are the keys encoding/json writes for a "round" event that sets
-// no other fields, in Event's field order. It always writes t_ms, and each
-// of the others only when it is non-zero.
-var roundKeys = [...]string{"t_ms", "round", "steps", "messages", "active", "halted", "dropped", "crashed", "instance"}
-
-// intDigits is the most digits an integer may have for AppendRelayedRound
-// to pass it through: 3/10 < log10(2), so every such number fits in an int
-// and decoding it could not have failed.
-const intDigits = (strconv.IntSize - 1) * 3 / 10
-
-// AppendRelayedRound appends to dst the line a router relays for line, a
-// node's NDJSON event, without decoding it: line's bytes with Seq set to
-// seq and Node to node. The result is exactly what encoding/json writes
-// for the decoded event after those two assignments, without the newline.
-// It reports false, leaving dst unchanged, when line is not exactly what
-// encoding/json writes for a "round" event that sets nothing but Seq and
-// the fields of roundKeys, or holds a number of more than intDigits
-// digits: the caller then decodes the line instead.
-func AppendRelayedRound(dst, line []byte, seq int, node string) ([]byte, bool) {
-	const head, kind = `{"seq":`, `,"kind":"round"`
-	rest, ok := bytes.CutPrefix(line, []byte(head))
-	if ok {
-		rest, ok = cutInt(rest, true)
-	}
-	if ok {
-		rest, ok = bytes.CutPrefix(rest, []byte(kind))
-	}
-	if !ok {
-		return dst, false
-	}
-	fields := rest
-	for i, key := range roundKeys {
-		val, found := cutKey(rest, key)
-		if !found {
-			if i == 0 {
-				return dst, false
-			}
-			continue
-		}
-		if rest, ok = cutInt(val, i == 0); !ok {
-			return dst, false
-		}
-	}
-	if len(rest) != 1 || rest[0] != '}' {
-		return dst, false
-	}
-	dst = append(dst, head...)
-	dst = strconv.AppendInt(dst, int64(seq), 10)
-	dst = append(dst, kind...)
-	dst = append(dst, fields[:len(fields)-1]...)
-	if node != "" {
-		dst = append(dst, `,"node":`...)
-		dst = appendJSONString(dst, node)
-	}
-	return append(dst, '}'), true
-}
-
-// cutKey cuts `,"key":` from the front of b.
-func cutKey(b []byte, key string) ([]byte, bool) {
-	n := len(key)
-	if len(b) < n+4 || b[0] != ',' || b[1] != '"' || string(b[2:2+n]) != key || b[2+n] != '"' || b[3+n] != ':' {
-		return b, false
-	}
-	return b[n+4:], true
-}
-
-// cutInt cuts a non-negative integer of at most intDigits digits, written
-// as encoding/json writes it, from the front of b. Zero, the one number
-// with a leading zero, is accepted only when zeroOK.
-func cutInt(b []byte, zeroOK bool) ([]byte, bool) {
-	if len(b) > 0 && b[0] == '0' {
-		return b[1:], zeroOK
-	}
-	n := 0
-	for n < len(b) && n <= intDigits && '0' <= b[n] && b[n] <= '9' {
-		n++
-	}
-	return b[n:], n > 0 && n <= intDigits
-}
-
-// appendJSONString appends s as encoding/json writes a string. Printable
-// ASCII that encoding/json does not escape is copied; anything else takes
-// json.Marshal, so the escaping rules stay encoding/json's own.
-func appendJSONString(dst []byte, s string) []byte {
-	for i := 0; i < len(s); i++ {
-		if c := s[i]; c < 0x20 || c > 0x7e || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
-			quoted, _ := json.Marshal(s) // a string always encodes
-			return append(dst, quoted...)
-		}
-	}
-	dst = append(dst, '"')
-	dst = append(dst, s...)
-	return append(dst, '"')
-}
-
 // Summary is the result of a completed (or partially completed) job run.
 // Fields that do not apply to the chosen algorithm stay zero and are
 // omitted from the JSON.
@@ -311,8 +213,7 @@ type Job struct {
 	finished        time.Time
 	cancelRequested bool
 	cancel          context.CancelFunc // set while running
-	events          []Event
-	more            chan struct{} // closed and replaced on every append
+	log             EventLog
 	summary         *Summary
 	errMsg          string
 	// attempt counts the attempts started (1 after the first begin);
@@ -341,16 +242,16 @@ func newJob(id string, spec JobSpec, now time.Time, maxRetries int) *Job {
 	}
 	j := &Job{
 		ID: id, TraceID: trace, Spec: spec, created: now,
-		state: StateQueued, more: make(chan struct{}), maxRetries: maxRetries,
+		state: StateQueued, maxRetries: maxRetries,
 		flight: obs.NewFlight(flightRing),
 	}
-	queued := Event{Seq: 0, Kind: "queued", Trace: j.TraceID}
+	queued := Event{Kind: "queued", Trace: j.TraceID}
 	if spec.Resume != nil {
 		j.checkpoint = spec.Resume.Clone()
 		queued.Resumed = true
 		queued.Round = j.checkpoint.Round
 	}
-	j.events = append(j.events, queued)
+	j.log.Append(&queued) // a queued event always encodes
 	return j
 }
 
@@ -361,8 +262,9 @@ func (j *Job) State() State {
 	return j.state
 }
 
-// Emit appends one event to the job's stream, stamping Seq and TimeMS, and
-// wakes all waiting subscribers. It is the sink handed to the Runner.
+// Emit stamps one event's Seq and TimeMS, appends it to the job's stream
+// (see EventLog.Append) and wakes waiting subscribers. It is the sink
+// handed to the Runner.
 func (j *Job) Emit(e Event) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
@@ -370,11 +272,8 @@ func (j *Job) Emit(e Event) {
 }
 
 func (j *Job) emitLocked(e Event) {
-	e.Seq = len(j.events)
 	e.TimeMS = time.Since(j.created).Milliseconds()
-	j.events = append(j.events, e)
-	close(j.more)
-	j.more = make(chan struct{})
+	_ = j.log.Append(&e) // one that does not encode is left out; the flight recorder keeps it
 	// Mirror the event into the flight recorder — except the "end" event,
 	// which is where the dump itself rides.
 	if e.Kind != "end" {
@@ -390,21 +289,14 @@ func (j *Job) emitLocked(e Event) {
 	}
 }
 
-// EventsSince returns a copy of the events from position from on, together
-// with the job's current state and a channel that is closed on the next
-// append. The channel is captured atomically with the snapshot, so a
-// subscriber that drains the returned events and then waits on the channel
-// never misses a wake-up.
-func (j *Job) EventsSince(from int) (events []Event, more <-chan struct{}, state State) {
+// EventsSince returns EventLog.Since(from) of the job's stream and the
+// job's state, read under one lock: a terminal state comes with the "end"
+// event, and a subscriber that waits on the channel misses no wake-up.
+func (j *Job) EventsSince(from int) (lines []byte, n int, more <-chan struct{}, state State) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if from < 0 {
-		from = 0
-	}
-	if from < len(j.events) {
-		events = append(events, j.events[from:]...)
-	}
-	return events, j.more, j.state
+	lines, n, more = j.log.Since(from)
+	return lines, n, more, j.state
 }
 
 // begin transitions queued → running for the next attempt and returns the
@@ -658,7 +550,7 @@ func (j *Job) View() View {
 		Created:  j.created.UTC().Format(time.RFC3339Nano),
 		QueueMS:  queueMS,
 		RunMS:    runMS,
-		Events:   len(j.events),
+		Events:   j.log.Len(),
 		Error:    j.errMsg,
 		Attempts: j.attempt,
 	}

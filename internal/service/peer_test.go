@@ -112,7 +112,7 @@ func TestPeerFillServesWarmSummary(t *testing.T) {
 	if !reflect.DeepEqual(*cold, normalized) {
 		t.Fatalf("peer-filled result not bit-identical to the owner's solve:\ncold: %+v\nwarm: %+v", *cold, normalized)
 	}
-	events, _, _ := j.EventsSince(0)
+	events, _, _ := jobEvents(t, j, 0)
 	peerHit := false
 	for _, e := range events {
 		if e.Kind == "cache_hit" && e.Peer {

@@ -73,7 +73,7 @@ func TestRetryThenSucceed(t *testing.T) {
 	}
 	waitState(t, j, StateDone)
 
-	events, _, _ := j.EventsSince(0)
+	events, _, _ := jobEvents(t, j, 0)
 	var retries, starts int
 	var retryEv, endEv *Event
 	for i := range events {
@@ -186,7 +186,7 @@ func TestPanicBecomesFailedJob(t *testing.T) {
 	}
 	waitState(t, j, StateFailed)
 
-	events, _, _ := j.EventsSince(0)
+	events, _, _ := jobEvents(t, j, 0)
 	end := events[len(events)-1]
 	if end.Kind != "end" || end.State != StateFailed {
 		t.Fatalf("last event = %+v, want a failed end", end)
@@ -309,7 +309,7 @@ func TestRunSpecInjectedPanicRecovers(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitState(t, j, StateFailed)
-	events, _, _ := j.EventsSince(0)
+	events, _, _ := jobEvents(t, j, 0)
 	end := events[len(events)-1]
 	if end.Stack == "" {
 		t.Error("injected panic left no stack in the end event")

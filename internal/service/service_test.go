@@ -1,7 +1,9 @@
 package service
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"runtime"
@@ -45,6 +47,26 @@ func waitState(t *testing.T, j *Job, want State) {
 		}
 		time.Sleep(time.Millisecond)
 	}
+}
+
+// jobEvents decodes the events of j's stream from position from on and
+// returns them with the wake channel and the state that EventsSince
+// returns.
+func jobEvents(t testing.TB, j *Job, from int) ([]Event, <-chan struct{}, State) {
+	t.Helper()
+	lines, n, more, state := j.EventsSince(from)
+	events := make([]Event, 0, n)
+	for dec := json.NewDecoder(bytes.NewReader(lines)); dec.More(); {
+		var e Event
+		if err := dec.Decode(&e); err != nil {
+			t.Fatalf("job %s: event %d: %v", j.ID, from+len(events), err)
+		}
+		events = append(events, e)
+	}
+	if len(events) != n {
+		t.Fatalf("job %s: decoded %d events from %d on, EventsSince counts %d", j.ID, len(events), from, n)
+	}
+	return events, more, state
 }
 
 func waitStarted(t *testing.T, r *stubRunner) {
@@ -292,7 +314,7 @@ func TestEventStreamOrdering(t *testing.T) {
 	r.release <- struct{}{}
 	waitState(t, j, StateDone)
 
-	events, _, state := j.EventsSince(0)
+	events, _, state := jobEvents(t, j, 0)
 	if !state.Terminal() {
 		t.Fatalf("state = %q after done wait", state)
 	}

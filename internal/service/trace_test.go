@@ -71,7 +71,7 @@ func TestTraceIDMintedAtAdmission(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	events, _, _ := j.EventsSince(0)
+	events, _, _ := jobEvents(t, j, 0)
 	if first := events[0]; first.Kind != "queued" || first.Trace != j.TraceID {
 		t.Fatalf("queued event = %+v, want trace %q", first, j.TraceID)
 	}
@@ -186,7 +186,7 @@ func TestFlightDumpOnFailure(t *testing.T) {
 	}
 	waitState(t, j, StateFailed)
 
-	events, _, _ := j.EventsSince(0)
+	events, _, _ := jobEvents(t, j, 0)
 	end := events[len(events)-1]
 	if end.Kind != "end" || end.State != StateFailed {
 		t.Fatalf("end event = %+v", end)
@@ -234,7 +234,7 @@ func TestFlightRingBoundsEndEvent(t *testing.T) {
 
 	j, _ := s.Submit(JobSpec{})
 	waitState(t, j, StateFailed)
-	events, _, _ := j.EventsSince(0)
+	events, _, _ := jobEvents(t, j, 0)
 	end := events[len(events)-1]
 	if len(end.Flight) > flightRing {
 		t.Fatalf("flight dump = %d entries, ring is %d", len(end.Flight), flightRing)

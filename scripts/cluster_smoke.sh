@@ -110,7 +110,12 @@ submit() { # $1=spec json -> job id
   curl -sf -X POST "$ROUTER/v1/jobs" -d "$1" | grep -o '"id": *"[^"]*"' | head -1 | cut -d'"' -f4
 }
 follow() { # $1=id -> full NDJSON stream (blocks to terminal)
-  curl -sf "$ROUTER/v1/jobs/$1/events"
+  curl -sf "$ROUTER/v1/jobs/$1/events" > "$LOG/follow.ndjson" || return
+  cat "$LOG/follow.ndjson"
+  # Re-read from ?from=5, the routed stream is its tail from line 6 on,
+  # byte for byte.
+  curl -sf "$ROUTER/v1/jobs/$1/events?from=5" | cmp -s - <(tail -n +6 "$LOG/follow.ndjson") \
+    || { echo "FAIL: job $1's stream from ?from=5 is not its tail from line 6" >&2; exit 1; }
 }
 view() { curl -sf "$ROUTER/v1/jobs/$1"; }
 field() { # $1=json $2=string field name
