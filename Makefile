@@ -84,9 +84,11 @@ fuzz:
 # pack/unpack/flip round-trip against model.Assignment, and the tenant
 # policy parser's invariants (normalization idempotence, default tenant
 # materialization, limit validation), the router's spliced round line
-# against a decode-and-re-encode of the same event, and the event log's
-# direct encoding of a round event against json.Marshal. Nightly CI runs
-# the same targets for 5 minutes each.
+# against a decode-and-re-encode of the same event, the event log's
+# direct encoding of a round event against json.Marshal, and instance
+# builds against the reference derivations of their Events lists,
+# dependency graph and event values. Nightly CI runs the same targets for
+# 5 minutes each.
 fuzz-short:
 	$(GO) test -run=NONE -fuzz='^FuzzPStarInvariant$$' -fuzztime=30s ./internal/core/
 	$(GO) test -run=NONE -fuzz='^FuzzRepresentableTriple$$' -fuzztime=30s ./internal/srep/
@@ -94,6 +96,7 @@ fuzz-short:
 	$(GO) test -run=NONE -fuzz='^FuzzTenantSpec$$' -fuzztime=30s ./internal/tenant/
 	$(GO) test -run=NONE -fuzz='^FuzzAppendRelayedRound$$' -fuzztime=30s ./internal/service/
 	$(GO) test -run=NONE -fuzz='^FuzzAppendRound$$' -fuzztime=30s ./internal/service/
+	$(GO) test -run=NONE -fuzz='^FuzzBuildMatchesReference$$' -fuzztime=30s ./internal/model/
 
 clean:
 	$(GO) clean -testcache

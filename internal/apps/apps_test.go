@@ -748,3 +748,38 @@ func TestRandomConjunctionSolvedByAllPaths(t *testing.T) {
 		t.Fatalf("only %d instances were solvable-calibratable", solved)
 	}
 }
+
+// TestSinklessSharesGraph pins that every sinkless family over a graph g
+// takes g itself as its instance's dependency graph: each edge variable
+// affects exactly its endpoints' events, in edge order, so Build accepts
+// the graph hint instead of deriving a copy.
+func TestSinklessSharesGraph(t *testing.T) {
+	rr, err := graph.RandomRegular(20, 3, prng.New(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	margin, err := NewSinklessWithMargin(rr, 0.9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	biased, err := NewSinklessBiasedCycle(9, 0.3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	noisy, err := NewNoisySinkless(graph.Cycle(7), 0.2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, c := range map[string]struct {
+		inst *model.Instance
+		g    *graph.Graph
+	}{
+		"margin": {margin.Instance, margin.Graph},
+		"biased": {biased.Instance, biased.Graph},
+		"noisy":  {noisy.Instance, noisy.Graph},
+	} {
+		if c.inst.DependencyGraph() != c.g {
+			t.Errorf("%s: the dependency graph is not the instance's graph", name)
+		}
+	}
+}

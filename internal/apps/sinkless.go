@@ -97,7 +97,14 @@ func sinklessInstance(g *graph.Graph, edgeDist []*dist.Distribution) (*model.Ins
 	}
 	names.seal()
 
+	// Every edge is a slot of both endpoints' events, with one bad value.
+	size := model.Size{Vars: g.M(), Events: g.N(), Slots: 2 * g.M(), BadValues: 2 * g.M()}
+	for _, d := range edgeDist {
+		size.Values += 2 * d.Size()
+	}
 	b := model.NewBuilder()
+	b.Grow(size)
+	b.HintGraph(g)
 	edgeVar := make([]int, g.M())
 	for id := range edgeVar {
 		edgeVar[id] = b.AddVariable(edgeDist[id], names.name(id))
@@ -262,6 +269,8 @@ func NewNoisySinkless(g *graph.Graph, noise float64) (*NoisySinkless, error) {
 	}
 
 	b := model.NewBuilder()
+	b.Grow(model.Size{Vars: g.M() + g.N(), Events: g.N(), Slots: 2*g.M() + g.N()})
+	b.HintGraph(g)
 	edgeVar := make([]int, g.M())
 	for id := 0; id < g.M(); id++ {
 		e := g.Edge(id)

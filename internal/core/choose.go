@@ -50,7 +50,10 @@ func chooseRank2(orc oracle, a *model.Assignment, vid, u, v int, s, t float64, o
 		score      float64
 		incU, incV float64
 	}
-	var best, worst, first *cand
+	// The feasible candidates are kept as values: feasible reports
+	// whether first, best and worst hold one.
+	var best, worst, first cand
+	feasible := false
 	bestAny := cand{val: 0, score: math.Inf(1)}
 	for y := 0; y < d.Size(); y++ {
 		c := cand{
@@ -63,15 +66,14 @@ func chooseRank2(orc oracle, a *model.Assignment, vid, u, v int, s, t float64, o
 			bestAny = c
 		}
 		if c.score <= budget+opts.Tol {
-			cc := c
-			if first == nil {
-				first = &cc
+			if !feasible {
+				first, best, worst, feasible = c, c, c, true
 			}
-			if best == nil || c.score < best.score {
-				best = &cc
+			if c.score < best.score {
+				best = c
 			}
-			if worst == nil || c.score > worst.score {
-				worst = &cc
+			if c.score > worst.score {
+				worst = c
 			}
 		}
 	}
@@ -82,11 +84,11 @@ func chooseRank2(orc oracle, a *model.Assignment, vid, u, v int, s, t float64, o
 	case StrategyAdversarial:
 		chosen = worst
 	}
-	if chosen == nil {
+	if !feasible {
 		// Theorem 1.1 guarantees a feasible value; reaching this branch is
 		// pure float noise. Use the least-violating value.
 		fallback = true
-		chosen = &bestAny
+		chosen = bestAny
 	}
 	newU = s * chosen.incU
 	newV = t * chosen.incV
@@ -114,7 +116,10 @@ func chooseRank3(orc oracle, a *model.Assignment, vid, u, v, w int, ta, tb, tc f
 		ta, tb, tc float64
 		score      float64
 	}
-	var best, worst, first *cand
+	// As in chooseRank2, feasible reports whether first, best and worst
+	// hold a representable candidate.
+	var best, worst, first cand
+	feasible := false
 	var bestAny cand
 	bestAnyExcess := math.Inf(1)
 	for y := 0; y < d.Size(); y++ {
@@ -126,15 +131,14 @@ func chooseRank3(orc oracle, a *model.Assignment, vid, u, v, w int, ta, tb, tc f
 		}
 		c3.score = c3.ta + c3.tb + c3.tc
 		if srep.IsRepresentable(c3.ta, c3.tb, c3.tc, opts.Tol) {
-			cc := c3
-			if first == nil {
-				first = &cc
+			if !feasible {
+				first, best, worst, feasible = c3, c3, c3, true
 			}
-			if best == nil || c3.score < best.score {
-				best = &cc
+			if c3.score < best.score {
+				best = c3
 			}
-			if worst == nil || c3.score > worst.score {
-				worst = &cc
+			if c3.score > worst.score {
+				worst = c3
 			}
 		}
 		excess := math.Max(0, c3.ta+c3.tb-4)
@@ -155,13 +159,13 @@ func chooseRank3(orc oracle, a *model.Assignment, vid, u, v, w int, ta, tb, tc f
 	case StrategyAdversarial:
 		chosen = worst
 	}
-	if chosen == nil {
+	if !feasible {
 		// Lemma 3.2 guarantees a feasible value; this is float noise.
 		fallback = true
 		bestAny.ta = math.Min(bestAny.ta, 4)
 		bestAny.tb = math.Min(bestAny.tb, math.Max(0, 4-bestAny.ta))
 		bestAny.tc = math.Min(bestAny.tc, srep.F(bestAny.ta, bestAny.tb))
-		chosen = &bestAny
+		chosen = bestAny
 	}
 	wit, derr := srep.Decompose(chosen.ta, chosen.tb, chosen.tc)
 	if derr != nil {

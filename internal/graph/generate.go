@@ -6,15 +6,15 @@ import (
 	"repro/internal/prng"
 )
 
-// Cycle returns the cycle C_n. It requires n >= 3.
+// Cycle returns the cycle C_n. It requires n >= 3. Edge i is {i, i+1 mod
+// n}; the n edges are distinct, so they go in without an edge set.
 func Cycle(n int) *Graph {
 	if n < 3 {
 		panic(fmt.Sprintf("graph: Cycle needs n >= 3, got %d", n))
 	}
-	b := NewBuilder(n)
-	b.Grow(n)
-	for i := 0; i < n; i++ {
-		mustAdd(b, i, (i+1)%n)
+	b := &Builder{n: n, edges: make([]Edge, n)}
+	for i := range b.edges {
+		b.edges[i] = Edge{U: i, V: (i + 1) % n}.normalize()
 	}
 	return b.Build()
 }

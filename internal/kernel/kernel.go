@@ -1,6 +1,6 @@
 // Package kernel provides flat, cache-friendly evaluation kernels compiled
 // once per model.Instance. The generic representation (pointer-rich
-// graph.Graph adjacency, per-event closures, per-call []int scratch) is what
+// graph.Graph adjacency, per-event evaluators, per-call []int scratch) is what
 // the rest of the repository programs against; this package compiles it into
 // compressed-sparse-row (CSR) arrays, bit-packed assignment words and
 // precomputed conditional-probability tables so that the hot loops of the

@@ -5,9 +5,9 @@ import "repro/internal/model"
 // The fixers drive their value choices through Inc(·,·) = Pr[E | θ, X=y] /
 // Pr[E | θ], two conditional-probability queries per candidate value per
 // dependent event. The generic path allocates two scope-sized slices per
-// query and dispatches through the event's CondProb closure; the kernel
-// answers the closed-form families (Conjunction, AllEqual) straight from
-// the flat tables with the exact float operation order of the closures, so
+// query and dispatches through the event's Conjunction or CondProb; the
+// kernel answers the closed-form families (Conjunction, AllEqual) straight
+// from the flat tables with the exact float operation order of those, so
 // every probability — and therefore every choice a fixer makes — is
 // bitwise identical. Events without a compiled closed form delegate to the
 // instance's own engine.

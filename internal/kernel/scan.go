@@ -53,7 +53,7 @@ func (c *Compiled) eval(e int, a *Assignment, vals []int) bool {
 		for j := lo; j < hi; j++ {
 			vals[j-lo] = a.value(int(c.scopeVar[j]))
 		}
-		return c.inst.Event(e).Bad(vals)
+		return c.inst.Event(e).Occurs(vals)
 	}
 }
 
@@ -150,7 +150,7 @@ func (c *Compiled) evalModel(e int, ma *model.Assignment, vals []int) bool {
 		for j := lo; j < hi; j++ {
 			vals[j-lo] = ma.Value(int(c.scopeVar[j]))
 		}
-		return c.inst.Event(e).Bad(vals)
+		return c.inst.Event(e).Occurs(vals)
 	}
 }
 

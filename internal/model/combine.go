@@ -148,7 +148,7 @@ func Combine(inst *Instance) (*Combined, error) {
 		radixes := c.radix
 		groups := c.Groups
 		scope := newScope
-		origBad := ev.Bad
+		origBad := ev.Occurs
 		bad := func(vals []int) bool {
 			orig := make([]int, len(slots))
 			for i, s := range slots {

@@ -53,7 +53,8 @@ func (c *Conjunction) Scope() []int {
 	return append([]int(nil), c.scope...)
 }
 
-// Bad is the defining predicate, suitable for Event.Bad.
+// Bad is the defining predicate: the one a conjunction event's Occurs
+// evaluates, and suitable for Event.Bad.
 func (c *Conjunction) Bad(vals []int) bool {
 	for i, v := range vals {
 		if !c.badSets[i][v] {
@@ -63,8 +64,8 @@ func (c *Conjunction) Bad(vals []int) bool {
 	return true
 }
 
-// CondProb is the closed-form conditional probability, suitable for
-// Event.CondProb.
+// CondProb is the closed-form conditional probability: the one the
+// instance uses for a conjunction event, and suitable for Event.CondProb.
 func (c *Conjunction) CondProb(vals []int, fixed []bool) float64 {
 	p := 1.0
 	for i := range c.scope {
@@ -82,18 +83,20 @@ func (c *Conjunction) CondProb(vals []int, fixed []bool) float64 {
 // AddConjunctionEvent registers a conjunction-shaped event on b and returns
 // its identifier. dists must be the distributions of the scope variables in
 // scope order. The scope is copied once: the event's Scope and the
-// Conjunction share the copy. The event's ConjunctionSpec holds a copy of
-// every bad set (nil for an empty one), so the caller may reuse scope and
-// badSets.
+// Conjunction share the copy. The event holds the Conjunction, not Bad and
+// CondProb closures over it (see Event). Its ConjunctionSpec holds a copy
+// of every bad set (nil for an empty one), so the caller may reuse scope
+// and badSets.
 func AddConjunctionEvent(b *Builder, scope []int, badSets [][]int, dists []*dist.Distribution, name string) int {
 	c := b.mem.conjunction(scope, badSets, dists)
-	id := b.addEvent(c.scope, c.Bad, c.CondProb, name)
+	id := b.addEvent(c.scope, nil, nil, name)
 	spec := ConjunctionSpec{BadSets: b.mem.sets.alloc(len(badSets))}
 	for i, set := range badSets {
 		if len(set) > 0 {
 			spec.BadSets[i] = b.mem.ints.clone(set)
 		}
 	}
-	b.events[id].Spec = spec
+	e := b.events[id]
+	e.conj, e.Spec = c, spec
 	return id
 }

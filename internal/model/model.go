@@ -23,6 +23,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/dist"
 	"repro/internal/graph"
@@ -36,6 +37,8 @@ var (
 	ErrEmptyScope = errors.New("model: event with empty scope")
 	// ErrDuplicateVar indicates an event scope listing a variable twice.
 	ErrDuplicateVar = errors.New("model: duplicate variable in scope")
+	// ErrNoPredicate indicates an event added without a predicate.
+	ErrNoPredicate = errors.New("model: event without a predicate")
 	// ErrNotFixed indicates an operation that requires a fully fixed
 	// assignment was called on a partial one.
 	ErrNotFixed = errors.New("model: assignment not fully fixed")
@@ -54,8 +57,8 @@ type Variable struct {
 	// variable, in ascending event order without duplicates; nil if the
 	// variable affects no event. Its length is the rank of the variable.
 	// The slice is shared, read-only: the variables' lists are sub-slices
-	// of one array, and the variable hypergraph uses the list itself as
-	// the variable's hyperedge.
+	// of one array, and VariableHypergraph uses the list itself as the
+	// variable's hyperedge.
 	Events []int
 }
 
@@ -67,6 +70,12 @@ type Variable struct {
 type CondProbFunc func(vals []int, fixed []bool) float64
 
 // Event is a bad event of an LLL instance.
+//
+// An event added by AddEvent (AddAllEqualEvent among them) carries its
+// predicate in Bad and its optional closed form in CondProb. A conjunction
+// event (AddConjunctionEvent) carries neither: it holds its Conjunction,
+// whose predicate and closed form the instance evaluates. Occurs evaluates
+// either kind.
 type Event struct {
 	// ID is the dense identifier of the event within its instance.
 	ID int
@@ -77,17 +86,31 @@ type Event struct {
 	// array shared with other events, and a conjunction event's Scope is
 	// also its Conjunction's scope.
 	Scope []int
-	// Bad is the defining predicate: it receives the value indices of the
-	// scope variables (parallel to Scope) and reports whether the bad event
-	// occurs.
+	// Bad is the defining predicate of an AddEvent event: it receives the
+	// value indices of the scope variables (parallel to Scope) and reports
+	// whether the bad event occurs. The slice is scratch: a predicate must
+	// not keep it. Bad is nil for a conjunction event.
 	Bad func(vals []int) bool
 	// CondProb, if non-nil, is a closed-form conditional probability that
-	// the engine uses instead of enumeration. It must agree with Bad.
+	// the engine uses instead of enumeration. It must agree with Bad. It
+	// is nil for a conjunction event.
 	CondProb CondProbFunc
 	// Spec, if non-nil, is a serializable description of the event (a
 	// ConjunctionSpec or AllEqualSpec); events built by the helper
 	// families carry one, hand-written predicates do not.
 	Spec any
+
+	conj *Conjunction // a conjunction event's predicate and closed form
+}
+
+// Occurs reports whether the event occurs when its scope variables take
+// the value indices vals (parallel to Scope): the Conjunction's predicate
+// for a conjunction event, Bad for any other.
+func (e *Event) Occurs(vals []int) bool {
+	if e.conj != nil {
+		return e.conj.Bad(vals)
+	}
+	return e.Bad(vals)
 }
 
 // Instance is an immutable LLL instance.
@@ -96,7 +119,6 @@ type Instance struct {
 	events []*Event
 
 	depGraph *graph.Graph
-	varHyper *hypergraph.Hypergraph
 }
 
 // Builder accumulates variables and events and produces an Instance.
@@ -115,10 +137,51 @@ type Builder struct {
 	// stamp[v] is 1 + the identifier of the last event whose scope was
 	// checked to hold variable v: the duplicate check of AddEvent.
 	stamp []int
+	// hint is the dependency graph offered by HintGraph, if any.
+	hint *graph.Graph
 }
 
 // NewBuilder returns an empty instance builder.
 func NewBuilder() *Builder { return &Builder{} }
+
+// Size is a Builder size hint (see Grow): how much a build adds in all.
+type Size struct {
+	// Vars and Events count the variables and the events.
+	Vars, Events int
+	// Slots counts the scope entries, summed over the events.
+	Slots int
+	// BadValues and Values sum, over the scope entries of the conjunction
+	// events, the length of the entry's bad set and the number of values
+	// of the entry's variable.
+	BadValues, Values int
+}
+
+// Grow reserves room for s more, like graph.Builder.Grow: the Variable and
+// Event lists, and the next chunk of each slab and arena, hold exactly
+// what s counts, so a build that states its size allocates one chunk per
+// arena it uses. A conjunction arena takes its chunk only once a
+// conjunction event is added. A short hint costs extra chunks, never
+// correctness.
+func (b *Builder) Grow(s Size) {
+	b.vars = slices.Grow(b.vars, s.Vars)
+	b.events = slices.Grow(b.events, s.Events)
+	b.mem.vars.grow(s.Vars)
+	b.mem.events.grow(s.Events)
+	b.mem.conjs.grow(s.Events)
+	b.mem.ints.grow(s.Slots + s.BadValues)
+	b.mem.floats.grow(s.Slots)
+	b.mem.masks.grow(s.Slots)
+	b.mem.sets.grow(s.Slots)
+	b.mem.bools.grow(s.Values)
+}
+
+// HintGraph offers g as the instance's dependency graph. Build takes g
+// itself when the instance has one event per node of g and its variables
+// of rank 2 affect exactly g's edges, in edge order (the i-th such
+// variable affects the endpoints of edge i), with no variable of rank 3
+// or more; that is the graph Build would derive, edge for edge. Otherwise
+// Build ignores g and derives the graph.
+func (b *Builder) HintGraph(g *graph.Graph) { b.hint = g }
 
 // AddVariable registers a variable with the given distribution and returns
 // its identifier.
@@ -131,10 +194,15 @@ func (b *Builder) AddVariable(d *dist.Distribution, name string) int {
 }
 
 // AddEvent registers a bad event over the given scope. bad receives value
-// indices parallel to scope. condProb may be nil. AddEvent returns the event
-// identifier; scope errors are deferred to Build.
+// indices parallel to scope and must not be nil. condProb may be nil.
+// AddEvent returns the event identifier; scope errors and a nil bad are
+// deferred to Build.
 func (b *Builder) AddEvent(scope []int, bad func(vals []int) bool, condProb CondProbFunc, name string) int {
-	return b.addEvent(b.mem.ints.clone(scope), bad, condProb, name)
+	id := b.addEvent(b.mem.ints.clone(scope), bad, condProb, name)
+	if bad == nil && b.err == nil {
+		b.err = fmt.Errorf("%w: event %d (%s)", ErrNoPredicate, id, name)
+	}
+	return id
 }
 
 // addEvent is AddEvent over a scope the event may keep as is.
@@ -176,34 +244,102 @@ func (b *Builder) addEvent(scope []int, bad func(vals []int) bool, condProb Cond
 //
 // The variables' Events lists are sub-slices of one array, filled in
 // event order, so each is ascending and (scopes being duplicate-free)
-// duplicate-free. The variable hypergraph takes each list as the
-// variable's hyperedge without copying or sorting it.
+// duplicate-free. The dependency graph is the graph offered by HintGraph
+// when it matches, and is otherwise derived from the Events lists.
 func (b *Builder) Build() (*Instance, error) {
 	if b.err != nil {
 		return nil, b.err
 	}
-	inst := &Instance{vars: b.vars, events: b.events}
-	scopes := make([][]int, len(b.events))
+	b.fillEvents()
+	return &Instance{vars: b.vars, events: b.events, depGraph: b.dependencyGraph()}, nil
+}
+
+// fillEvents sets every variable's Events list: the identifiers of the
+// events whose scope holds it, as sub-slices of one array. It is
+// hypergraph.Incidence over the event scopes, written out so that a build
+// allocates neither a list of the scopes nor one of the results (49 KB
+// and 65 KB of the two n = 1000 sweep builds).
+func (b *Builder) fillEvents() {
+	// end[v] counts v's events shifted by one, becomes the start of v's
+	// range after the prefix sum, and the end of it after the fill.
+	end := make([]int, len(b.vars)+1)
+	for _, e := range b.events {
+		for _, v := range e.Scope {
+			end[v+1]++
+		}
+	}
+	for v := range b.vars {
+		end[v+1] += end[v]
+	}
+	flat := make([]int, end[len(b.vars)])
 	for id, e := range b.events {
-		scopes[id] = e.Scope
-	}
-	for vid, events := range hypergraph.Incidence(len(b.vars), scopes) {
-		b.vars[vid].Events = events
-	}
-	// Derive the variable hypergraph. Variables affecting no event get no
-	// hyperedge (they are irrelevant to the LLL and can be fixed freely).
-	hb := hypergraph.NewBuilder(len(inst.events))
-	for _, v := range inst.vars {
-		if len(v.Events) == 0 {
-			continue
-		}
-		if err := hb.AddOwnedEdge(v.Events); err != nil {
-			return nil, fmt.Errorf("model: building variable hypergraph: %w", err)
+		for _, v := range e.Scope {
+			flat[end[v]] = id
+			end[v]++
 		}
 	}
-	inst.varHyper = hb.Build()
-	inst.depGraph = inst.varHyper.DependencyGraph()
-	return inst, nil
+	start := 0
+	for vid, v := range b.vars {
+		if end[vid] > start {
+			v.Events = flat[start:end[vid]:end[vid]]
+		}
+		start = end[vid]
+	}
+}
+
+// dependencyGraph returns the hinted graph when the instance is rank 2
+// over it, and otherwise derives the graph: one node per event, and an
+// edge for every pair of events that share a variable, numbered in order
+// of first appearance, variable by variable, each variable's pairs in
+// ascending order. Parallel pairs collapse to one edge.
+func (b *Builder) dependencyGraph() *graph.Graph {
+	if b.hint != nil && b.rank2Over(b.hint) {
+		return b.hint
+	}
+	gb := graph.NewBuilder(len(b.events))
+	pairs := 0
+	for _, v := range b.vars {
+		pairs += len(v.Events) * (len(v.Events) - 1) / 2
+	}
+	gb.Grow(pairs)
+	for _, v := range b.vars {
+		for i, u := range v.Events {
+			for _, w := range v.Events[i+1:] {
+				if _, err := gb.AddEdgeIfAbsent(u, w); err != nil {
+					panic(err) // scopes were checked by AddEvent
+				}
+			}
+		}
+	}
+	return gb.Build()
+}
+
+// rank2Over reports whether the derived dependency graph would be g edge
+// for edge: g has one node per event, no variable affects three or more
+// events, and the i-th variable of rank 2 affects exactly the endpoints of
+// g's edge i. Graph edges are simple, so no pair repeats, and both graphs
+// sort adjacency by neighbour. It is O(vars) and allocates nothing.
+func (b *Builder) rank2Over(g *graph.Graph) bool {
+	if g.N() != len(b.events) {
+		return false
+	}
+	k := 0
+	for _, v := range b.vars {
+		switch len(v.Events) {
+		case 0, 1:
+		case 2:
+			if k == g.M() {
+				return false
+			}
+			if e := g.Edge(k); v.Events[0] != e.U || v.Events[1] != e.V {
+				return false
+			}
+			k++
+		default:
+			return false
+		}
+	}
+	return k == g.M()
 }
 
 // MustBuild is Build but panics on error; for statically valid construction.
@@ -234,10 +370,23 @@ func (inst *Instance) Event(id int) *Event { return inst.events[id] }
 func (inst *Instance) DependencyGraph() *graph.Graph { return inst.depGraph }
 
 // VariableHypergraph returns the hypergraph H = (V, F) with one hyperedge
-// per (event-affecting) variable. Note: hyperedge identifiers do NOT equal
+// per (event-affecting) variable, built on each call: the instance keeps
+// only the variables' Events lists, and each hyperedge is such a list
+// itself (shared, read-only). Note: hyperedge identifiers do NOT equal
 // variable identifiers when some variables affect no event; use
 // Var(id).Events for per-variable scopes instead.
-func (inst *Instance) VariableHypergraph() *hypergraph.Hypergraph { return inst.varHyper }
+func (inst *Instance) VariableHypergraph() *hypergraph.Hypergraph {
+	hb := hypergraph.NewBuilder(len(inst.events))
+	for _, v := range inst.vars {
+		if len(v.Events) == 0 {
+			continue
+		}
+		if err := hb.AddOwnedEdge(v.Events); err != nil {
+			panic(err) // Events lists are ascending, distinct and in range
+		}
+	}
+	return hb.Build()
+}
 
 // D returns the LLL dependency parameter d: the maximum degree of the
 // dependency graph.
@@ -308,23 +457,34 @@ func (inst *Instance) SymmetricLLLCriterion() (ok bool, value float64) {
 
 // Violated reports whether event id occurs under the fully fixed assignment.
 func (inst *Instance) Violated(id int, a *Assignment) (bool, error) {
+	return inst.violated(id, a, make([]int, len(inst.events[id].Scope)))
+}
+
+// violated is Violated over scratch vals of at least the event's scope
+// size.
+func (inst *Instance) violated(id int, a *Assignment, vals []int) (bool, error) {
 	e := inst.events[id]
-	vals := make([]int, len(e.Scope))
+	vals = vals[:len(e.Scope)]
 	for i, vid := range e.Scope {
 		if !a.Fixed(vid) {
 			return false, fmt.Errorf("%w: event %d, variable %d", ErrNotFixed, id, vid)
 		}
 		vals[i] = a.Value(vid)
 	}
-	return e.Bad(vals), nil
+	return e.Occurs(vals), nil
 }
 
 // CountViolated returns the number of events that occur under the fully
-// fixed assignment a.
+// fixed assignment a. Every event reads its values from one scratch slice.
 func (inst *Instance) CountViolated(a *Assignment) (int, error) {
+	maxScope := 0
+	for _, e := range inst.events {
+		maxScope = max(maxScope, len(e.Scope))
+	}
+	vals := make([]int, maxScope)
 	count := 0
 	for _, e := range inst.events {
-		bad, err := inst.Violated(e.ID, a)
+		bad, err := inst.violated(e.ID, a, vals)
 		if err != nil {
 			return 0, err
 		}
@@ -348,7 +508,16 @@ func (inst *Instance) CondProb(id int, a *Assignment) float64 {
 			vals[i] = a.Value(vid)
 		}
 	}
-	if e.CondProb != nil {
+	return inst.condProb(e, vals, fixed)
+}
+
+// condProb evaluates event e's conditional probability given the fixed
+// scope positions: through its Conjunction, its CondProb, or enumeration.
+func (inst *Instance) condProb(e *Event, vals []int, fixed []bool) float64 {
+	switch {
+	case e.conj != nil:
+		return e.conj.CondProb(vals, fixed)
+	case e.CondProb != nil:
 		return e.CondProb(vals, fixed)
 	}
 	return inst.enumCondProb(e, vals, fixed)
@@ -364,7 +533,7 @@ func (inst *Instance) enumCondProb(e *Event, vals []int, fixed []bool) float64 {
 		}
 	}
 	if len(free) == 0 {
-		if e.Bad(vals) {
+		if e.Occurs(vals) {
 			return 1
 		}
 		return 0
@@ -378,7 +547,7 @@ func (inst *Instance) enumCondProb(e *Event, vals []int, fixed []bool) float64 {
 		for i, pos := range free {
 			vals[pos] = tuple[i]
 		}
-		if e.Bad(vals) {
+		if e.Occurs(vals) {
 			total += p
 		}
 	})
@@ -402,10 +571,7 @@ func (inst *Instance) CondProbWith(id int, a *Assignment, varID, value int) floa
 			vals[i] = a.Value(vid)
 		}
 	}
-	if e.CondProb != nil {
-		return e.CondProb(vals, fixed)
-	}
-	return inst.enumCondProb(e, vals, fixed)
+	return inst.condProb(e, vals, fixed)
 }
 
 // Summary is a human-readable one-stop description of an instance's LLL

@@ -78,6 +78,14 @@ func TestBuilderValidation(t *testing.T) {
 			b.AddEvent([]int{1, 0, 1}, never, nil, "dup")
 			b.AddEvent(nil, never, nil, "empty")
 		}, ErrDuplicateVar, "model: duplicate variable in scope: event 1, variable 1"},
+		{"nil predicate", func(b *Builder) {
+			vars(b, 1)
+			b.AddEvent([]int{0}, never, nil, "ok")
+			b.AddEvent([]int{0}, nil, nil, "bare")
+		}, ErrNoPredicate, "model: event without a predicate: event 1 (bare)"},
+		{"scope before predicate", func(b *Builder) {
+			b.AddEvent(nil, nil, nil, "e")
+		}, ErrEmptyScope, "model: event with empty scope: event 0 (e)"},
 		{"conjunction event", func(b *Builder) {
 			vars(b, 2)
 			AddConjunctionEvent(b, []int{0, 1}, [][]int{{1}, {1}}, []*dist.Distribution{d, d}, "ok")

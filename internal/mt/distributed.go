@@ -145,7 +145,7 @@ func (m *mtMachine) Round(round int, recv []local.Message) ([]local.Message, boo
 			}
 			vals[i] = v
 		}
-		m.violated = m.inst.Event(m.me).Bad(vals)
+		m.violated = m.inst.Event(m.me).Occurs(vals)
 		send := make([]local.Message, m.info.Degree())
 		for i := range send {
 			send[i] = mtFlagMsg{id: m.info.ID, violated: m.violated}

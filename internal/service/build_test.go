@@ -1,6 +1,7 @@
 package service
 
 import (
+	"context"
 	"fmt"
 	"hash/fnv"
 	"io"
@@ -197,10 +198,11 @@ func BenchmarkBuildInstance(b *testing.B) {
 }
 
 // TestBuildAllocationBudget bounds the allocations of one n = 1000 sweep
-// build: instance construction allocates per instance and per event
-// closure, not per node, edge, variable and scope entry.
+// build: instance construction allocates one chunk per arena and one
+// boxed ConjunctionSpec per event, not per node, edge, variable or scope
+// entry, and no closure per event.
 func TestBuildAllocationBudget(t *testing.T) {
-	const budget = 12000
+	const budget = 1200
 	for _, bc := range sweepBuilds[:2] {
 		js, err := bc.spec.withDefaults()
 		if err != nil {
@@ -213,6 +215,24 @@ func TestBuildAllocationBudget(t *testing.T) {
 		})
 		if allocs > budget {
 			t.Errorf("%s: %.0f allocations per build, budget %d", bc.name, allocs, budget)
+		}
+	}
+}
+
+// TestServedJobAllocationBudget bounds the allocations of one served
+// sweep job: RunSpec builds the instance, runs the spec's algorithm on it
+// and counts the violated events of the result.
+func TestServedJobAllocationBudget(t *testing.T) {
+	const budget = 1500
+	for _, bc := range sweepBuilds[:2] {
+		allocs := testing.AllocsPerRun(5, func() {
+			sum, err := RunSpec(context.Background(), bc.spec, Attempt{Number: 1}, func(Event) {}, RunOptions{})
+			if err != nil || !sum.Satisfied {
+				t.Fatalf("%s: RunSpec = %+v, %v", bc.name, sum, err)
+			}
+		})
+		if allocs > budget {
+			t.Errorf("%s: %.0f allocations per served job, budget %d", bc.name, allocs, budget)
 		}
 	}
 }

@@ -24,13 +24,17 @@ import (
 // Core model types.
 type (
 	// Instance is an immutable LLL instance: variables, events, and the
-	// derived dependency graph and variable hypergraph.
+	// derived dependency graph (the variable hypergraph is derived on
+	// request).
 	Instance = model.Instance
 	// InstanceBuilder accumulates variables and events.
 	InstanceBuilder = model.Builder
 	// Assignment is a partial assignment of values to variables.
 	Assignment = model.Assignment
-	// Event is a bad event (scope, predicate, optional closed form).
+	// Event is a bad event: its scope, and Bad and an optional CondProb
+	// for an event added with AddEvent. A conjunction event's Bad and
+	// CondProb are nil (it holds its conjunction instead); Occurs
+	// evaluates either kind.
 	Event = model.Event
 	// Variable is a discrete random variable of an instance.
 	Variable = model.Variable
