@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/dist"
 	"repro/internal/graph"
 	"repro/internal/hypergraph"
 	"repro/internal/model"
@@ -251,14 +252,14 @@ func TestThreeOrientationsClosedFormMatchesEnumeration(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Strip the closed forms by rebuilding the instance with Bad only.
+	// Strip the closed forms by rebuilding the instance with predicates only.
 	stripped := model.NewBuilder()
 	for v := 0; v < to.Instance.NumVars(); v++ {
 		stripped.AddVariable(to.Instance.Var(v).Dist, "")
 	}
 	for e := 0; e < to.Instance.NumEvents(); e++ {
 		ev := to.Instance.Event(e)
-		stripped.AddEvent(ev.Scope, ev.Bad, nil, "")
+		stripped.AddEvent(ev.Scope, ev.Occurs, nil, "")
 	}
 	enumInst := stripped.MustBuild()
 
@@ -376,7 +377,7 @@ func TestWeakSplittingClosedFormMatchesEnumeration(t *testing.T) {
 	}
 	for e := 0; e < w.Instance.NumEvents(); e++ {
 		ev := w.Instance.Event(e)
-		stripped.AddEvent(ev.Scope, ev.Bad, nil, "")
+		stripped.AddEvent(ev.Scope, ev.Occurs, nil, "")
 	}
 	enumInst := stripped.MustBuild()
 	r := prng.New(13)
@@ -571,7 +572,7 @@ func TestNoisySinklessClosedFormMatchesEnumeration(t *testing.T) {
 	}
 	for e := 0; e < s.Instance.NumEvents(); e++ {
 		ev := s.Instance.Event(e)
-		stripped.AddEvent(ev.Scope, ev.Bad, nil, "")
+		stripped.AddEvent(ev.Scope, ev.Occurs, nil, "")
 	}
 	enumInst := stripped.MustBuild()
 	r := prng.New(77)
@@ -766,20 +767,57 @@ func TestSinklessSharesGraph(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	noisy, err := NewNoisySinkless(graph.Cycle(7), 0.2)
+	for name, s := range map[string]*Sinkless{"margin": margin, "biased": biased} {
+		if s.Instance.DependencyGraph() != s.Graph {
+			t.Errorf("%s: the dependency graph is not the instance's graph", name)
+		}
+	}
+}
+
+// TestSinklessGrowIsExact pins the size hint of sinklessInstance to what
+// it adds: on every shape the sinkless families build, each slab and arena
+// of the builder ends with its one chunk full and no hint left over.
+func TestSinklessGrowIsExact(t *testing.T) {
+	rr, err := graph.RandomRegular(30, 3, prng.New(5))
 	if err != nil {
 		t.Fatal(err)
 	}
-	for name, c := range map[string]struct {
-		inst *model.Instance
-		g    *graph.Graph
+	two := dist.Uniform(2)
+	three, err := dist.New([]float64{0.45, 0.45, 0.1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	biased, err := dist.New([]float64{0.3, 0.7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	same := func(g *graph.Graph, d *dist.Distribution) []*dist.Distribution {
+		out := make([]*dist.Distribution, g.M())
+		for id := range out {
+			out[id] = d
+		}
+		return out
+	}
+	mixed := same(rr, two)
+	for id := 0; id < len(mixed); id += 3 {
+		mixed[id] = three
+	}
+	for _, c := range []struct {
+		name     string
+		g        *graph.Graph
+		edgeDist []*dist.Distribution
 	}{
-		"margin": {margin.Instance, margin.Graph},
-		"biased": {biased.Instance, biased.Graph},
-		"noisy":  {noisy.Instance, noisy.Graph},
+		{"cycle, two values", graph.Cycle(50), same(graph.Cycle(50), two)},
+		{"cycle, biased", graph.Cycle(7), same(graph.Cycle(7), biased)},
+		{"3-regular, three values", rr, same(rr, three)},
+		{"3-regular, mixed", rr, mixed},
 	} {
-		if c.inst.DependencyGraph() != c.g {
-			t.Errorf("%s: the dependency graph is not the instance's graph", name)
+		b := model.NewBuilder()
+		if _, _, err := sinklessInstance(b, c.g, c.edgeDist); err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if slack := b.Slack(); slack != 0 {
+			t.Errorf("%s: %d arena entries left unused", c.name, slack)
 		}
 	}
 }

@@ -144,17 +144,7 @@ func hyperSinklessInstance(h *hypergraph.Hypergraph, edgeDist []*dist.Distributi
 	}
 	names.seal()
 
-	// Each member of a hyperedge is a slot of that member's event, with
-	// one bad value.
-	size := model.Size{Vars: h.M(), Events: h.N()}
-	for id, d := range edgeDist {
-		k := len(h.Edge(id))
-		size.Slots += k
-		size.Values += k * d.Size()
-	}
-	size.BadValues = size.Slots
 	b := model.NewBuilder()
-	b.Grow(size)
 	edgeVar := make([]int, h.M())
 	for id := range edgeVar {
 		edgeVar[id] = b.AddVariable(edgeDist[id], names.name(id))

@@ -47,16 +47,7 @@ func NewRandomConjunction(h *hypergraph.Hypergraph, values int, margin float64, 
 	}
 	dg := h.DependencyGraph()
 
-	// Every event is a conjunction over its hyperedges and its coin, each
-	// slot with one bad value.
-	size := model.Size{Vars: h.M() + h.N(), Events: h.N(), Slots: h.N(), Values: 2 * h.N()}
-	for id := 0; id < h.M(); id++ {
-		size.Slots += len(h.Edge(id))
-		size.Values += len(h.Edge(id)) * values
-	}
-	size.BadValues = size.Slots
 	b := model.NewBuilder()
-	b.Grow(size)
 	edgeDist := dist.Uniform(values)
 	edgeVar := make([]int, h.M())
 	for id := 0; id < h.M(); id++ {

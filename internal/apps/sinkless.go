@@ -75,18 +75,19 @@ func NewSinkless(g *graph.Graph, slack float64) (*Sinkless, error) {
 	for id := range edgeDist {
 		edgeDist[id] = d
 	}
-	inst, edgeVar, err := sinklessInstance(g, edgeDist)
+	inst, edgeVar, err := sinklessInstance(model.NewBuilder(), g, edgeDist)
 	if err != nil {
 		return nil, fmt.Errorf("apps: building sinkless instance: %w", err)
 	}
 	return &Sinkless{Instance: inst, Graph: g, EdgeVar: edgeVar, Slack: slack}, nil
 }
 
-// sinklessInstance builds the sinkless-orientation events on g: one
-// variable "edge{u,v}" per edge, distributed as edgeDist[id], and at every
-// node v the conjunction "sink@v" that every incident edge points at v.
-// It returns the instance and the edge-to-variable map.
-func sinklessInstance(g *graph.Graph, edgeDist []*dist.Distribution) (*model.Instance, []int, error) {
+// sinklessInstance builds the sinkless-orientation events on g with the
+// empty builder b: one variable "edge{u,v}" per edge, distributed as
+// edgeDist[id], and at every node v the conjunction "sink@v" that every
+// incident edge points at v. It returns the instance and the
+// edge-to-variable map.
+func sinklessInstance(b *model.Builder, g *graph.Graph, edgeDist []*dist.Distribution) (*model.Instance, []int, error) {
 	names := newNameTable(g.M() + g.N())
 	for id := 0; id < g.M(); id++ {
 		e := g.Edge(id)
@@ -102,7 +103,6 @@ func sinklessInstance(g *graph.Graph, edgeDist []*dist.Distribution) (*model.Ins
 	for _, d := range edgeDist {
 		size.Values += 2 * d.Size()
 	}
-	b := model.NewBuilder()
 	b.Grow(size)
 	b.HintGraph(g)
 	edgeVar := make([]int, g.M())
@@ -201,7 +201,7 @@ func NewSinklessBiased(g *graph.Graph, alpha float64, alphaHead []int) (*Sinkles
 		}
 		edgeDist[id] = d
 	}
-	inst, edgeVar, err := sinklessInstance(g, edgeDist)
+	inst, edgeVar, err := sinklessInstance(model.NewBuilder(), g, edgeDist)
 	if err != nil {
 		return nil, fmt.Errorf("apps: building biased sinkless instance: %w", err)
 	}
@@ -269,8 +269,6 @@ func NewNoisySinkless(g *graph.Graph, noise float64) (*NoisySinkless, error) {
 	}
 
 	b := model.NewBuilder()
-	b.Grow(model.Size{Vars: g.M() + g.N(), Events: g.N(), Slots: 2*g.M() + g.N()})
-	b.HintGraph(g)
 	edgeVar := make([]int, g.M())
 	for id := 0; id < g.M(); id++ {
 		e := g.Edge(id)

@@ -56,7 +56,6 @@ func NewThreeOrientations(h *hypergraph.Hypergraph) (*ThreeOrientations, error) 
 	}
 	d := dist.Uniform(27)
 	b := model.NewBuilder()
-	b.Grow(model.Size{Vars: h.M(), Events: h.N(), Slots: 3 * h.M()})
 	edgeVar := make([]int, h.M())
 	for id := 0; id < h.M(); id++ {
 		m := h.Edge(id)

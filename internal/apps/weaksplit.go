@@ -63,11 +63,6 @@ func NewWeakSplitting(vNeighbors [][]int, numU, colors int) (*WeakSplitting, err
 
 	d := dist.Uniform(colors)
 	b := model.NewBuilder()
-	size := model.Size{Vars: numU, Events: len(vNeighbors)}
-	for _, nbrs := range vNeighbors {
-		size.Slots += len(nbrs)
-	}
-	b.Grow(size)
 	uVar := make([]int, numU)
 	for u := range uVar {
 		uVar[u] = b.AddVariable(d, fmt.Sprintf("u%d", u))

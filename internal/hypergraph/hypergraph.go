@@ -81,21 +81,24 @@ func (b *Builder) AddOwnedEdge(members []int) error {
 
 // Build finalizes the hypergraph. The builder must not be used afterwards.
 func (b *Builder) Build() *Hypergraph {
-	return &Hypergraph{n: b.n, edges: b.edges, incident: Incidence(b.n, b.edges)}
+	incident := make([][]int, b.n)
+	Incidence(b.n, len(b.edges), func(id int) []int { return b.edges[id] },
+		func(v int, ids []int) { incident[v] = ids })
+	return &Hypergraph{n: b.n, edges: b.edges, incident: incident}
 }
 
-// Incidence inverts member lists: its i-th list holds, ascending, the
-// indices of the lists that contain i. Over a hypergraph's hyperedges it
-// gives each node's incident hyperedges; over an instance's event scopes,
-// each variable's events. The lists are capacity-capped sub-slices of one
-// array, nil for an i that no list contains. Every member must lie in
-// [0, n).
-func Incidence(n int, lists [][]int) [][]int {
+// Incidence inverts count member lists, the j-th of which is list(j): for
+// every i in [0, n) it calls set(i, ids) with ids the indices, ascending,
+// of the lists that contain i. Over a hypergraph's hyperedges it gives
+// each node's incident hyperedges; over an instance's event scopes, each
+// variable's events. The ids are capacity-capped sub-slices of one array,
+// nil for an i that no list contains. Every member must lie in [0, n).
+func Incidence(n, count int, list func(j int) []int, set func(i int, ids []int)) {
 	// end[v] counts v's lists shifted by one, becomes the start of v's
 	// range after the prefix sum, and the end of it after the fill.
 	end := make([]int, n+1)
-	for _, members := range lists {
-		for _, v := range members {
+	for id := 0; id < count; id++ {
+		for _, v := range list(id) {
 			end[v+1]++
 		}
 	}
@@ -103,21 +106,21 @@ func Incidence(n int, lists [][]int) [][]int {
 		end[v+1] += end[v]
 	}
 	flat := make([]int, end[n])
-	for id, members := range lists {
-		for _, v := range members {
+	for id := 0; id < count; id++ {
+		for _, v := range list(id) {
 			flat[end[v]] = id
 			end[v]++
 		}
 	}
-	out := make([][]int, n)
 	start := 0
 	for v := 0; v < n; v++ {
+		var ids []int
 		if end[v] > start {
-			out[v] = flat[start:end[v]:end[v]]
+			ids = flat[start:end[v]:end[v]]
 		}
+		set(v, ids)
 		start = end[v]
 	}
-	return out
 }
 
 // N returns the number of nodes.
@@ -192,17 +195,29 @@ func (h *Hypergraph) Contains(id, v int) bool {
 // they share a hyperedge (variable). Parallel hyperedges collapse to a
 // single dependency edge.
 func (h *Hypergraph) DependencyGraph() *graph.Graph {
-	b := graph.NewBuilder(h.n)
+	return DependencyGraphOf(h.n, len(h.edges), func(id int) []int { return h.edges[id] })
+}
+
+// DependencyGraphOf is DependencyGraph over count member lists on n nodes,
+// the j-th of which is edge(j), each ascending and duplicate-free with
+// members in [0, n): the graph with an edge for every pair of nodes that
+// share a list, numbered in order of first appearance, list by list, each
+// list's pairs in ascending order. A list of fewer than two members adds
+// no edge.
+func DependencyGraphOf(n, count int, edge func(j int) []int) *graph.Graph {
+	b := graph.NewBuilder(n)
 	pairs := 0
-	for _, members := range h.edges {
-		pairs += len(members) * (len(members) - 1) / 2
+	for id := 0; id < count; id++ {
+		k := len(edge(id))
+		pairs += k * (k - 1) / 2
 	}
 	b.Grow(pairs)
-	for _, members := range h.edges {
+	for id := 0; id < count; id++ {
+		members := edge(id)
 		for i := 0; i < len(members); i++ {
 			for j := i + 1; j < len(members); j++ {
 				if _, err := b.AddEdgeIfAbsent(members[i], members[j]); err != nil {
-					panic(err) // members validated at AddEdge time
+					panic(err) // members validated by the caller
 				}
 			}
 		}

@@ -40,6 +40,10 @@ func (a *arena[T]) grow(n int) {
 	}
 }
 
+// slack returns the entries of the current chunk not yet handed out, plus
+// those a hint still reserves for the next.
+func (a *arena[T]) slack() int { return cap(a.buf) - len(a.buf) + a.hint }
+
 // clone returns a copy of src.
 func (a *arena[T]) clone(src []T) []T {
 	out := a.alloc(len(src))

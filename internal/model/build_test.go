@@ -150,6 +150,11 @@ func TestGrowFillsExactChunks(t *testing.T) {
 			t.Errorf("%s: chunk of %d entries, want %d", c.name, c.cap, want)
 		}
 	}
+	// Slack counts those unused entries: one Conjunction, and two scope
+	// entries in each of the three per-slot arenas.
+	if got, want := b.Slack(), 1+3*2; got != want {
+		t.Errorf("slack %d, want %d", got, want)
+	}
 	for _, s := range []Size{{}, {Vars: 1, Events: 1, Slots: 1, BadValues: 1, Values: 1}} {
 		b := NewBuilder()
 		b.Grow(s)

@@ -161,7 +161,7 @@ type Size struct {
 // what s counts, so a build that states its size allocates one chunk per
 // arena it uses. A conjunction arena takes its chunk only once a
 // conjunction event is added. A short hint costs extra chunks, never
-// correctness.
+// correctness; Slack shows how far a hint missed.
 func (b *Builder) Grow(s Size) {
 	b.vars = slices.Grow(b.vars, s.Vars)
 	b.events = slices.Grow(b.events, s.Events)
@@ -173,6 +173,16 @@ func (b *Builder) Grow(s Size) {
 	b.mem.masks.grow(s.Slots)
 	b.mem.sets.grow(s.Slots)
 	b.mem.bools.grow(s.Values)
+}
+
+// Slack returns the slab and arena entries the builder holds but has not
+// handed out: the unused tail of each current chunk, plus the entries of
+// any Grow hint that no request has taken up. A build of conjunction
+// events whose Grow counted exactly what it then added ends with 0.
+func (b *Builder) Slack() int {
+	m := &b.mem
+	return m.vars.slack() + m.events.slack() + m.conjs.slack() + m.ints.slack() +
+		m.bools.slack() + m.floats.slack() + m.masks.slack() + m.sets.slack()
 }
 
 // HintGraph offers g as the instance's dependency graph. Build takes g
@@ -250,68 +260,19 @@ func (b *Builder) Build() (*Instance, error) {
 	if b.err != nil {
 		return nil, b.err
 	}
-	b.fillEvents()
+	hypergraph.Incidence(len(b.vars), len(b.events), func(id int) []int { return b.events[id].Scope },
+		func(vid int, events []int) { b.vars[vid].Events = events })
 	return &Instance{vars: b.vars, events: b.events, depGraph: b.dependencyGraph()}, nil
 }
 
-// fillEvents sets every variable's Events list: the identifiers of the
-// events whose scope holds it, as sub-slices of one array. It is
-// hypergraph.Incidence over the event scopes, written out so that a build
-// allocates neither a list of the scopes nor one of the results (49 KB
-// and 65 KB of the two n = 1000 sweep builds).
-func (b *Builder) fillEvents() {
-	// end[v] counts v's events shifted by one, becomes the start of v's
-	// range after the prefix sum, and the end of it after the fill.
-	end := make([]int, len(b.vars)+1)
-	for _, e := range b.events {
-		for _, v := range e.Scope {
-			end[v+1]++
-		}
-	}
-	for v := range b.vars {
-		end[v+1] += end[v]
-	}
-	flat := make([]int, end[len(b.vars)])
-	for id, e := range b.events {
-		for _, v := range e.Scope {
-			flat[end[v]] = id
-			end[v]++
-		}
-	}
-	start := 0
-	for vid, v := range b.vars {
-		if end[vid] > start {
-			v.Events = flat[start:end[vid]:end[vid]]
-		}
-		start = end[vid]
-	}
-}
-
 // dependencyGraph returns the hinted graph when the instance is rank 2
-// over it, and otherwise derives the graph: one node per event, and an
-// edge for every pair of events that share a variable, numbered in order
-// of first appearance, variable by variable, each variable's pairs in
-// ascending order. Parallel pairs collapse to one edge.
+// over it, and otherwise derives the graph from the variables' Events
+// lists: that of the variable hypergraph.
 func (b *Builder) dependencyGraph() *graph.Graph {
 	if b.hint != nil && b.rank2Over(b.hint) {
 		return b.hint
 	}
-	gb := graph.NewBuilder(len(b.events))
-	pairs := 0
-	for _, v := range b.vars {
-		pairs += len(v.Events) * (len(v.Events) - 1) / 2
-	}
-	gb.Grow(pairs)
-	for _, v := range b.vars {
-		for i, u := range v.Events {
-			for _, w := range v.Events[i+1:] {
-				if _, err := gb.AddEdgeIfAbsent(u, w); err != nil {
-					panic(err) // scopes were checked by AddEvent
-				}
-			}
-		}
-	}
-	return gb.Build()
+	return hypergraph.DependencyGraphOf(len(b.events), len(b.vars), func(vid int) []int { return b.vars[vid].Events })
 }
 
 // rank2Over reports whether the derived dependency graph would be g edge
